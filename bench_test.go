@@ -365,6 +365,31 @@ func BenchmarkReportCodec(b *testing.B) {
 	})
 }
 
+// BenchmarkCcryptRunStartup is one deployed ccrypt run as the fleet makes
+// it (sampled 1/100, one Compiled, one world reset per run): about 1 k VM
+// steps and 10 countdown draws, so what it times is mostly start-up, and
+// its allocs/op is what a run costs beyond its Result.
+func BenchmarkCcryptRunStartup(b *testing.B) {
+	built, err := workloads.BuildCcrypt(instrument.SchemeSet{Returns: true}, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	code := interp.Compile(built.Program)
+	world := workloads.NewCcryptWorld(0)
+	intrinsics := world.Intrinsics()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps uint64
+	for i := 0; i < b.N; i++ {
+		seed := int64(i)
+		world.Reset(seed*2654435761 + 1)
+		steps += code.Run(interp.Config{
+			Seed: seed, Density: 1.0 / 100, CountdownSeed: seed*40503 + 7, Intrinsics: intrinsics,
+		}).Steps
+	}
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/run")
+}
+
 func BenchmarkGeometricCountdown(b *testing.B) {
 	g := sampler.NewGeometric(1, 1.0/1000)
 	var sink int64

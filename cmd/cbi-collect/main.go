@@ -96,12 +96,12 @@ func main() {
 		qualityRng = flag.Int("quality-ring", 64, "rejected-payload forensic ring size (/debug/badreports)")
 		qualityTop = flag.Int("quality-topk", 10, "heavy-hitter sources listed in /quality")
 
-		role          = flag.String("role", "", "collector-tree role: edge (push delta merges to -parent) | root (accept /merge pushes); empty = standalone")
-		parent        = flag.String("parent", "", "with -role edge: base URL of the upstream collector (e.g. http://root:8123)")
-		edgeID        = flag.String("edge-id", "", "with -role edge: stable edge identity at the root (empty = reuse the one persisted in -spill-dir, else random)")
-		mergeIvl      = flag.Duration("merge-interval", time.Second, "with -role edge: delta cut-and-push cadence")
-		spillDir      = flag.String("spill-dir", "", "spill-to-disk directory (append-only report log + state snapshots, replayed on restart); empty disables")
-		spillSnap     = flag.Duration("spill-snapshot", 0, "snapshot cadence for a spill-enabled server without federation (0 = default 30s; federated edges persist at every cut)")
+		role      = flag.String("role", "", "collector-tree role: edge (push delta merges to -parent) | root (accept /merge pushes); empty = standalone")
+		parent    = flag.String("parent", "", "with -role edge: base URL of the upstream collector (e.g. http://root:8123)")
+		edgeID    = flag.String("edge-id", "", "with -role edge: stable edge identity at the root (empty = reuse the one persisted in -spill-dir, else random)")
+		mergeIvl  = flag.Duration("merge-interval", time.Second, "with -role edge: delta cut-and-push cadence")
+		spillDir  = flag.String("spill-dir", "", "spill-to-disk directory (append-only report log + state snapshots, replayed on restart); empty disables")
+		spillSnap = flag.Duration("spill-snapshot", 0, "snapshot cadence for a spill-enabled server without federation (0 = default 30s; federated edges persist at every cut)")
 
 		dashboard     = flag.Bool("dashboard", false, "enable the live triage console (/rankings, /watch, /dashboard)")
 		rankingsEvery = flag.Int("rankings-every", 500, "with -dashboard: snapshot rankings every N folded reports (0 disables the count cadence)")

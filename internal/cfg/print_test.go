@@ -49,14 +49,14 @@ func TestFormatTermAllKinds(t *testing.T) {
 func TestFormatExprAllKinds(t *testing.T) {
 	v := &Var{Name: "y"}
 	cases := map[Expr]string{
-		&Const{V: -3}:                  "-3",
-		&StrConst{S: "hi"}:             `"hi"`,
-		&Null{}:                        "null",
-		&VarUse{V: v}:                  "y",
-		&Un{Op: UnNot, X: &VarUse{V: v}}:                   "!y",
+		&Const{V: -3}:                    "-3",
+		&StrConst{S: "hi"}:               `"hi"`,
+		&Null{}:                          "null",
+		&VarUse{V: v}:                    "y",
+		&Un{Op: UnNot, X: &VarUse{V: v}}: "!y",
 		&Bin{Op: BinAdd, X: &Const{V: 1}, Y: &Const{V: 2}}: "(1 + 2)",
-		&Load{Ptr: &VarUse{V: v}, Idx: &Const{V: 0}}:    "y[0]",
-		&NewObj{StructName: "node"}:                     "new node",
+		&Load{Ptr: &VarUse{V: v}, Idx: &Const{V: 0}}:       "y[0]",
+		&NewObj{StructName: "node"}:                        "new node",
 	}
 	for e, want := range cases {
 		if got := FormatExpr(e); got != want {

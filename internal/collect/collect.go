@@ -111,8 +111,8 @@ type serverMetrics struct {
 	// Staged-ingest instruments: reports shed by back-pressure, enqueues
 	// that had to wait for ring space, and reports folded per
 	// lock acquisition (the batching the staged path exists to buy).
-	shed        *telemetry.Counter
-	stageWaits  *telemetry.Counter
+	shed         *telemetry.Counter
+	stageWaits   *telemetry.Counter
 	stageBatches *telemetry.Histogram
 	// Federation instruments: the root's /merge endpoint (requests,
 	// reports carried, epoch duplicates, rejections) and the edge's push
@@ -300,8 +300,8 @@ type Server struct {
 	stageWG       sync.WaitGroup
 
 	// Cached /stats response; see handleStats.
-	statsMu sync.Mutex
-	statsAt time.Time
+	statsMu    sync.Mutex
+	statsAt    time.Time
 	statsCache Stats
 
 	// Federation runtime (nil unless Federation is set); see federate.go.

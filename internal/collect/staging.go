@@ -88,7 +88,7 @@ type stageRing struct {
 	_     [40]byte
 	head  atomic.Uint64 // next position producers reserve
 	_     [56]byte
-	tail atomic.Uint64 // next position the folder copies out
+	tail  atomic.Uint64 // next position the folder copies out
 	// folded trails tail: it advances only after the copied reports
 	// have been folded into shard state, so folded >= h proves every
 	// report enqueued before head reached h is visible in snapshots.

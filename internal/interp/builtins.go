@@ -45,7 +45,7 @@ func (vm *VM) callBuiltin(name string, args []Value, pos minic.Pos) (Value, erro
 		if n <= 0 {
 			return IntVal(0), nil
 		}
-		return IntVal(vm.rng.Int63n(n)), nil
+		return IntVal(vm.Rand().Int63n(n)), nil
 	case "abort":
 		msg := ""
 		if len(args) > 0 {

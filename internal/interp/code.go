@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"sync"
 
 	"cbi/internal/cfg"
 	"cbi/internal/minic"
@@ -252,9 +253,9 @@ const (
 // as the tree walker so step charges land node-for-node identically.
 type enode struct {
 	kind ekind
-	op   uint8 // cfg.UnOp or cfg.BinOp
-	slot int32 // variable slot (eLocal/eGlobal) or field count (eNew)
-	a, b int32 // child node indices
+	op   uint8  // cfg.UnOp or cfg.BinOp
+	slot int32  // variable slot (eLocal/eGlobal) or field count (eNew)
+	a, b int32  // child node indices
 	val  Value  // precomputed constant (eConst/eStr/eNull)
 	sval string // eBad diagnostic
 	pos  minic.Pos
@@ -277,20 +278,41 @@ type compiledFunc struct {
 	fentry         int
 }
 
-// Compiled is a program lowered once to bytecode. It is immutable after
-// Compile returns and safe to share across any number of concurrent
-// runs — the fleet compiles once and hands the same Compiled to every
-// worker goroutine.
+// Compiled is a program lowered once to bytecode. The bytecode is
+// immutable after Compile returns and safe to share across any number of
+// concurrent runs — the fleet compiles once and hands the same Compiled
+// to every worker goroutine. A Compiled must not be copied.
 type Compiled struct {
 	prog  *cfg.Program
 	funcs map[string]*compiledFunc
 	main  *compiledFunc
+	// vms holds finished, recycled VMs of this program for Run, so that a
+	// run's start-up cost follows what the run uses, not the size of the
+	// state it might use (countdown bank, frame pool, first arena chunks).
+	vms sync.Pool
 }
 
 // Run executes the compiled program's main under conf and builds the
 // report. Concurrent calls are safe; all per-run state lives in the VM.
+// The VM is recycled when Run returns: intrinsics must not retain the
+// *VM, its Rand, or guest pointers (KPtr values) past the run.
 func (c *Compiled) Run(conf Config) Result {
-	return c.NewVM(conf).Run()
+	vm, _ := c.vms.Get().(*VM)
+	if vm == nil {
+		vm = new(VM)
+	}
+	res := c.runOn(vm, conf)
+	c.vms.Put(vm)
+	return res
+}
+
+// runOn executes one run on vm — a new VM, or one an earlier runOn of
+// this Compiled recycled — and recycles it.
+func (c *Compiled) runOn(vm *VM, conf Config) Result {
+	c.resetVM(vm, conf)
+	res := vm.Run()
+	vm.recycle()
+	return res
 }
 
 // NewVM prepares a VM bound to this compiled program without running it
@@ -298,12 +320,16 @@ func (c *Compiled) Run(conf Config) Result {
 // bytecode engine is taken from conf (EngineFused by default); a tree
 // request falls back to the default, since Compiled has no tree form.
 func (c *Compiled) NewVM(conf Config) *VM {
+	vm := new(VM)
+	c.resetVM(vm, conf)
+	return vm
+}
+
+func (c *Compiled) resetVM(vm *VM, conf Config) {
 	if conf.Engine == EngineTree {
 		conf.Engine = EngineFused
 	}
-	vm := New(c.prog, conf)
-	vm.code = c
-	return vm
+	vm.reset(c.prog, c, conf)
 }
 
 // cframe is a pooled call frame of the compiled engine. Frames are
@@ -317,8 +343,12 @@ type cframe struct {
 
 // frameAt returns the pooled frame for call depth d (1-based).
 func (vm *VM) frameAt(d int) *cframe {
-	for len(vm.cframes) < d {
-		vm.cframes = append(vm.cframes, &cframe{})
+	for n := len(vm.cframes); n < d; n++ {
+		if n < cap(vm.cframes) && vm.cframes[:n+1][n] != nil {
+			vm.cframes = vm.cframes[:n+1] // a frame an earlier run left
+		} else {
+			vm.cframes = append(vm.cframes, &cframe{})
+		}
 	}
 	return vm.cframes[d-1]
 }

@@ -48,9 +48,9 @@ func buildVariants(t testing.TB, src string) map[string]*cfg.Program {
 	return variants
 }
 
-// diffEngines runs p under conf on all three engines and fails on any
-// difference in the observable Result, with the tree walker as the
-// reference.
+// diffEngines runs p under conf on all three engines, and on a recycled
+// VM, and fails on any difference in the observable Result, with the tree
+// walker as the reference.
 func diffEngines(t testing.TB, label string, p *cfg.Program, conf Config) {
 	t.Helper()
 	tc := conf
@@ -60,6 +60,12 @@ func diffEngines(t testing.TB, label string, p *cfg.Program, conf Config) {
 		ec := conf
 		ec.Engine = eng
 		assertSameResult(t, label+"/"+eng.String(), tree, Run(p, ec))
+	}
+	// The fused engine again, twice on one VM of one Compiled: the second
+	// run executes on the state the first one left and recycled.
+	code, vm := Compile(p), new(VM)
+	for i := 0; i < 2; i++ {
+		assertSameResult(t, fmt.Sprintf("%s/recycled%d", label, i), tree, code.runOn(vm, conf))
 	}
 }
 

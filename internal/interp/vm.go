@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"cbi/internal/cfg"
@@ -159,13 +160,14 @@ type Result struct {
 // VM executes one program run.
 type VM struct {
 	prog          *cfg.Program
-	globals       []Value
 	counters      []uint64
-	rng           *rand.Rand
+	seed          int64 // Config.Seed, for the lazily seeded guest rand()
+	rngReady      bool  // rng is seeded for this run
 	source        sampler.Source
 	cd            int64 // global countdown
 	out           io.Writer
-	buf           *strings.Builder
+	buf           strings.Builder // captures output when Config.Stdout is nil
+	capture       bool
 	fuel          uint64
 	steps         uint64
 	samples       uint64
@@ -174,34 +176,60 @@ type VM struct {
 	intr          map[string]Intrinsic
 	nextObj       int64
 	abortOnBounds bool
-	trace         []int // ring buffer of sampled site IDs
 	traceLen      int
 	traceNext     int
 	prof          *profiler
 
 	engine Engine
-	code   *Compiled // compiled form (EngineCompiled); shared, read-only
-	// Per-run execution state of the compiled engine: frames are pooled
-	// per call depth and locals arenas are reused across calls, so a run
-	// allocates at most one frame per stack depth ever reached instead of
-	// one frame + locals slice per call.
-	cframes  []*cframe
-	argStack []Value // user-call argument scratch; LIFO with the call stack
-	scratch  []Value // probe/std-builtin argument scratch; never nests
-	fret     Value   // fused-engine return-value slot (see retPC)
-	ops      []uint64 // per-opcode dispatch counts (Config.CountOps)
+	code   *Compiled // bytecode form (EngineFused, EngineCompiled); shared, read-only
+	fret   Value     // fused-engine return-value slot (see retPC)
+	ops    []uint64  // per-opcode dispatch counts (Config.CountOps)
 
 	// Bump arenas for guest heap objects (vm.alloc): headers and cell
 	// slices are carved from chunks so allocation-heavy guests cost two
 	// host allocations per chunk, not per object. Chunks start small and
 	// double up to a cap so light allocators don't pay for zeroing big
 	// chunks they never fill. Carved slices are full-capacity sub-slices
-	// that are never recycled, so the guest memory model (slack,
-	// use-after-free flags, IDs) is unchanged.
+	// that are never recycled within a run, so the guest memory model
+	// (slack, use-after-free flags, IDs) is unchanged.
 	cellArena []Value
 	objArena  []Object
 	cellChunk int
 	objChunk  int
+
+	recycled
+}
+
+// recycled is the part of a VM that a later run may inherit (Compiled.Run
+// keeps finished VMs in a pool): exactly the state that cannot escape
+// into a Result. Everything a Result references — Counters, Trace,
+// Output, Trap, Profile, OpCounts — is allocated fresh per run. reset
+// starts every VM, fresh or inherited, from the same observable state;
+// recycle scrubs a finished VM down to what is worth keeping.
+type recycled struct {
+	// The countdown source of a sampled run: geo is drawn only through
+	// bank.
+	geo  sampler.Geometric
+	bank sampler.Bank
+	rng  *rand.Rand // guest rand(); seeded on first use, see Rand
+
+	globals []Value
+	trace   []int // ring buffer of sampled site IDs
+
+	// Execution state of the bytecode engines: frames are pooled per call
+	// depth and locals arenas are reused across calls, so a run allocates
+	// at most one frame per stack depth ever reached instead of one frame
+	// + locals slice per call. len(cframes) is the deepest call of this
+	// run; frames of earlier, deeper runs wait between len and cap.
+	cframes  []*cframe
+	argStack []Value // user-call argument scratch; LIFO with the call stack
+	scratch  []Value // probe/std-builtin argument scratch; never nests
+
+	// The first chunk of each guest-heap arena. A run hands out zeroed
+	// memory only (fresh cells read 0, fresh objects are not Freed), so
+	// recycle zeroes the prefix the run carved.
+	cells0 []Value
+	objs0  []Object
 }
 
 type frame struct {
@@ -222,16 +250,27 @@ func Run(prog *cfg.Program, conf Config) Result {
 // New prepares a VM without running it (used by harnesses that install
 // intrinsics referring to the VM).
 func New(prog *cfg.Program, conf Config) *VM {
-	vm := &VM{
+	vm := new(VM)
+	vm.reset(prog, nil, conf)
+	return vm
+}
+
+// reset is the one VM constructor: it prepares vm to run prog under conf,
+// keeping only vm's recycled buffers (none, for a new VM). code is the
+// compiled form when the caller has one.
+func (vm *VM) reset(prog *cfg.Program, code *Compiled, conf Config) {
+	*vm = VM{
 		prog:          prog,
+		code:          code,
 		engine:        conf.Engine,
 		counters:      make([]uint64, prog.NumCounters),
-		rng:           rand.New(rand.NewSource(conf.Seed)),
+		seed:          conf.Seed,
 		fuel:          conf.Fuel,
 		maxDepth:      conf.MaxDepth,
 		intr:          conf.Intrinsics,
 		out:           conf.Stdout,
 		abortOnBounds: conf.AbortOnBoundsViolation,
+		recycled:      vm.recycled,
 	}
 	if vm.fuel == 0 {
 		vm.fuel = 200_000_000
@@ -240,11 +279,14 @@ func New(prog *cfg.Program, conf Config) *VM {
 		vm.maxDepth = 4096
 	}
 	if vm.out == nil {
-		vm.buf = &strings.Builder{}
-		vm.out = vm.buf
+		vm.capture = true
+		vm.out = &vm.buf
 	}
-	if conf.TraceCapacity > 0 {
-		vm.trace = make([]int, conf.TraceCapacity)
+	if n := conf.TraceCapacity; n > 0 {
+		// Stale entries are overwritten before finish reads them.
+		vm.trace = slices.Grow(vm.trace[:0], n)[:n]
+	} else {
+		vm.trace = nil
 	}
 	if conf.Profile {
 		vm.prof = newProfiler()
@@ -252,20 +294,22 @@ func New(prog *cfg.Program, conf Config) *VM {
 	if conf.CountOps && conf.Engine != EngineTree {
 		vm.ops = make([]uint64, nOpcodes)
 	}
-	src := conf.Source
-	if src == nil && conf.Density > 0 {
+	switch {
+	case conf.Source != nil:
+		vm.source = conf.Source
+	case conf.Density > 0:
 		bankSize := conf.BankSize
 		if bankSize == 0 {
 			bankSize = 1024
 		}
-		src = sampler.NewBank(sampler.NewGeometric(conf.CountdownSeed, conf.Density), bankSize)
+		vm.geo.Reset(conf.CountdownSeed, conf.Density)
+		vm.bank.Reset(&vm.geo, bankSize)
+		vm.source = &vm.bank
+	default:
+		vm.source = sampler.Never{}
 	}
-	if src == nil {
-		src = sampler.NewGeometric(0, 0) // never sample
-	}
-	vm.source = src
-	vm.cd = src.Next()
-	vm.globals = make([]Value, len(prog.Globals))
+	vm.cd = vm.source.Next()
+	vm.globals = slices.Grow(vm.globals[:0], len(prog.Globals))[:len(prog.Globals)]
 	for i, g := range prog.Globals {
 		vm.globals[i] = ZeroFor(g.Type)
 	}
@@ -274,7 +318,81 @@ func New(prog *cfg.Program, conf Config) *VM {
 			vm.globals[i] = vm.constValue(cfg.LowerGlobalInit(g.Init))
 		}
 	}
-	return vm
+}
+
+// Limits on what recycle keeps, so that one pathological run cannot pin
+// memory in the pool: larger buffers are dropped, not kept.
+const (
+	maxRecycledFrames = 64   // call depth of the kept frame pool
+	maxRecycledValues = 64   // cap of a kept locals, argument or scratch slice
+	maxRecycledInts   = 4096 // cap of a kept countdown bank or trace ring
+)
+
+// recycle scrubs a finished VM for reuse by a later run of the same
+// Compiled: it drops oversized buffers and everything that is not in
+// recycled, and clears every guest value the run left behind — in the
+// first arena chunks because the next run must read zeroes there,
+// elsewhere so that no stale pointer keeps the run's later (unrecycled)
+// arena chunks alive.
+func (vm *VM) recycle() {
+	if cap(vm.cframes) > maxRecycledFrames {
+		vm.cframes = nil
+	}
+	for _, fr := range vm.cframes { // the frames this run reached
+		fr.locals = scrubbed(fr.locals)
+	}
+	vm.cframes = vm.cframes[:0]
+	vm.argStack = scrubbed(vm.argStack)
+	vm.scratch = scrubbed(vm.scratch)
+	clear(vm.globals) // sized by the program, not by the run: always kept
+	if vm.bank.Len() > maxRecycledInts {
+		vm.bank = sampler.Bank{}
+	}
+	if cap(vm.trace) > maxRecycledInts {
+		vm.trace = nil
+	}
+	clear(carved(vm.cells0, vm.cellArena, vm.cellChunk, cellArenaMin))
+	clear(carved(vm.objs0, vm.objArena, vm.objChunk, objArenaMin))
+	*vm = VM{recycled: vm.recycled}
+}
+
+// carved returns the part of a first arena chunk that the finished run
+// may have handed out, given the size of the run's current chunk: nothing
+// if the run never allocated, up to the arena cursor while the first
+// chunk (size min) is still the current one, all of it once the run has
+// moved on.
+func carved[T any](first, arena []T, chunk, min int) []T {
+	switch chunk {
+	case 0:
+		return nil
+	case min:
+		return first[:len(first)-len(arena)]
+	}
+	return first
+}
+
+// firstChunk returns a zeroed arena chunk of n elements: the recycled
+// *first when n is the first-chunk size min (chunk sizes only grow, so
+// that is the run's first chunk), a new one otherwise.
+func firstChunk[T any](first *[]T, n, min int) []T {
+	if n != min {
+		return make([]T, n)
+	}
+	if *first == nil {
+		*first = make([]T, n)
+	}
+	return *first
+}
+
+// scrubbed returns s cleared to its full capacity and emptied, or nil if
+// it is too large to keep.
+func scrubbed(s []Value) []Value {
+	if cap(s) > maxRecycledValues {
+		return nil
+	}
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }
 
 func (vm *VM) constValue(e cfg.Expr) Value {
@@ -292,8 +410,21 @@ func (vm *VM) constValue(e cfg.Expr) Value {
 // collection modes).
 func (vm *VM) Counters() []uint64 { return vm.counters }
 
-// Rand exposes the program-visible RNG to intrinsics.
-func (vm *VM) Rand() *rand.Rand { return vm.rng }
+// Rand exposes the program-visible RNG to intrinsics (and backs the rand
+// builtin). It is seeded from Config.Seed on first use, so a run that
+// never draws from it never pays for the 607-word generator state. The
+// generator belongs to the VM and must not be retained past the run.
+func (vm *VM) Rand() *rand.Rand {
+	if !vm.rngReady {
+		if vm.rng == nil {
+			vm.rng = rand.New(rand.NewSource(vm.seed))
+		} else {
+			vm.rng.Seed(vm.seed)
+		}
+		vm.rngReady = true
+	}
+	return vm.rng
+}
 
 // Run executes main and builds the report.
 func (vm *VM) Run() Result {
@@ -349,7 +480,7 @@ func (vm *VM) finish(res Result) Result {
 			res.Trace = append(res.Trace, vm.trace[(start+i)%len(vm.trace)])
 		}
 	}
-	if vm.buf != nil {
+	if vm.capture {
 		res.Output = vm.buf.String()
 	}
 	if vm.prof != nil {
@@ -728,7 +859,7 @@ func (vm *VM) alloc(n int) Value {
 			if vm.cellChunk < capacity {
 				vm.cellChunk = capacity // ≤ cellArenaMax here
 			}
-			vm.cellArena = make([]Value, vm.cellChunk)
+			vm.cellArena = firstChunk(&vm.cells0, vm.cellChunk, cellArenaMin)
 		}
 		data = vm.cellArena[:capacity:capacity]
 		vm.cellArena = vm.cellArena[capacity:]
@@ -741,7 +872,7 @@ func (vm *VM) alloc(n int) Value {
 				vm.objChunk = objArenaMin
 			}
 		}
-		vm.objArena = make([]Object, vm.objChunk)
+		vm.objArena = firstChunk(&vm.objs0, vm.objChunk, objArenaMin)
 	}
 	obj := &vm.objArena[0]
 	vm.objArena = vm.objArena[1:]

@@ -17,8 +17,8 @@ import (
 // degrades to 0, exactly like score.Score with nil spans), but with one
 // the live rankings match an offline in-process analysis bit for bit.
 type Manifest struct {
-	Program     string   `json:"program"`
-	NumCounters int      `json:"num_counters"`
+	Program     string `json:"program"`
+	NumCounters int    `json:"num_counters"`
 	// Sites lists [base, len] counter spans, one per instrumentation site.
 	Sites      [][2]int `json:"sites"`
 	Predicates []string `json:"predicates,omitempty"`

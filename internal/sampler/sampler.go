@@ -8,6 +8,7 @@ package sampler
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // NeverSample is the countdown value used when the sampling density is
@@ -32,13 +33,28 @@ type Geometric struct {
 }
 
 // NewGeometric returns a geometric countdown source with the given
-// sampling density in (0, 1]. A density of 0 yields NeverSample forever.
+// sampling density in (0, 1]. A density of 0 yields NeverSample forever
+// (callers that know the density is zero should use Never, which seeds
+// nothing).
 func NewGeometric(seed int64, density float64) *Geometric {
-	g := &Geometric{rng: rand.New(rand.NewSource(seed)), density: density}
+	g := &Geometric{}
+	g.Reset(seed, density)
+	return g
+}
+
+// Reset re-seeds g in place: afterwards g produces exactly the stream of
+// NewGeometric(seed, density), without allocating a new generator. The
+// zero Geometric may be Reset.
+func (g *Geometric) Reset(seed int64, density float64) {
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(seed))
+	} else {
+		g.rng.Seed(seed)
+	}
+	g.density, g.ln1mp = density, 0
 	if density > 0 && density < 1 {
 		g.ln1mp = math.Log1p(-density)
 	}
-	return g
 }
 
 // Density returns the sampling density.
@@ -64,29 +80,53 @@ func (g *Geometric) Next() int64 {
 	return k
 }
 
-// Bank is a pre-generated circular bank of countdowns. The paper's
-// implementation uses banks of 1024 geometrically distributed random
+// Never is the stateless countdown source of a run that cannot sample
+// (density zero): every draw is NeverSample, and there is no generator to
+// seed.
+type Never struct{}
+
+// Next returns NeverSample.
+func (Never) Next() int64 { return NeverSample }
+
+// Bank is a circular bank of countdowns. The paper's implementation uses
+// pre-generated banks of 1024 geometrically distributed random
 // countdowns; because countdowns are consumed d times more slowly than raw
-// coin tosses, a modest bank lasts a long time (§2.1).
+// coin tosses, a modest bank lasts a long time (§2.1) — so long that a
+// short run reads only its first few slots. The bank therefore fills
+// lazily: slot i is drawn from the source the first time the cursor
+// reaches it and replayed on every later lap. The bank owns its source
+// (nothing else may draw from it), so the slots hold exactly the values an
+// up-front fill would have drawn, in the same order.
 type Bank struct {
-	vals []int64
-	idx  int
+	src    Source
+	vals   []int64
+	idx    int
+	filled int // vals[:filled] are drawn
 }
 
-// NewBank draws n countdowns from src.
+// NewBank returns a bank of n countdowns (at least one) over src.
 func NewBank(src Source, n int) *Bank {
+	b := &Bank{}
+	b.Reset(src, n)
+	return b
+}
+
+// Reset turns b, in place, into NewBank(src, n), keeping the slot array
+// when it is large enough. The zero Bank may be Reset.
+func (b *Bank) Reset(src Source, n int) {
 	if n <= 0 {
 		n = 1
 	}
-	b := &Bank{vals: make([]int64, n)}
-	for i := range b.vals {
-		b.vals[i] = src.Next()
-	}
-	return b
+	b.vals = slices.Grow(b.vals[:0], n)[:n]
+	b.src, b.idx, b.filled = src, 0, 0
 }
 
 // Next returns the next banked countdown, cycling.
 func (b *Bank) Next() int64 {
+	if b.idx == b.filled { // first lap only: filled stops at len(vals)
+		b.vals[b.idx] = b.src.Next()
+		b.filled++
+	}
 	v := b.vals[b.idx]
 	b.idx++
 	if b.idx == len(b.vals) {

@@ -290,3 +290,86 @@ func TestCountdownSamplingMatchesBernoulliRate(t *testing.T) {
 		}
 	}
 }
+
+// TestLazyBankMatchesEagerDraws is the equivalence behind the lazy fill:
+// a bank over a private source hands out, lap after lap, exactly the
+// first n values an identically seeded source draws up front.
+func TestLazyBankMatchesEagerDraws(t *testing.T) {
+	const seed, p = 23, 1.0 / 7
+	for _, size := range []int{0, 1, 16, 1024} {
+		b := NewBank(NewGeometric(seed, p), size)
+		n := b.Len()
+		if want := max(size, 1); n != want {
+			t.Fatalf("NewBank(src, %d).Len() = %d, want %d", size, n, want)
+		}
+		eager := NewGeometric(seed, p)
+		want := make([]int64, n)
+		for i := range want {
+			want[i] = eager.Next()
+		}
+		for i := 0; i < 3*n; i++ {
+			if got := b.Next(); got != want[i%n] {
+				t.Fatalf("size %d, draw %d: got %d, want %d", size, i, got, want[i%n])
+			}
+		}
+	}
+}
+
+// TestResetReproducesFreshStream: a reset Geometric or Bank, whatever it
+// drew before, is indistinguishable from a newly constructed one.
+func TestResetReproducesFreshStream(t *testing.T) {
+	used := NewGeometric(1, 0.1)
+	for i := 0; i < 37; i++ {
+		used.Next()
+	}
+	var zero Geometric
+	for name, g := range map[string]*Geometric{"used": used, "zero": &zero} {
+		g.Reset(9, 1.0/20)
+		fresh := NewGeometric(9, 1.0/20)
+		if g.Density() != fresh.Density() {
+			t.Errorf("%s: density %v, want %v", name, g.Density(), fresh.Density())
+		}
+		for i := 0; i < 200; i++ {
+			if got, want := g.Next(), fresh.Next(); got != want {
+				t.Fatalf("%s geometric, draw %d: got %d, want %d", name, i, got, want)
+			}
+		}
+	}
+	used.Reset(4, 0) // a degenerate density must not keep the old ln(1-p)
+	if got := used.Next(); got != NeverSample {
+		t.Errorf("reset to density 0: Next() = %d, want NeverSample", got)
+	}
+
+	b := NewBank(NewGeometric(1, 0.1), 64)
+	for i := 0; i < 100; i++ { // past one lap, cursor mid-bank
+		b.Next()
+	}
+	var zeroBank Bank
+	for _, size := range []int{16, 64, 128} { // shrink, same, grow
+		for name, bank := range map[string]*Bank{"used": b, "zero": &zeroBank} {
+			bank.Reset(NewGeometric(5, 0.2), size)
+			fresh := NewBank(NewGeometric(5, 0.2), size)
+			if bank.Len() != size {
+				t.Fatalf("%s bank reset to %d: len %d", name, size, bank.Len())
+			}
+			for i := 0; i < 3*size; i++ {
+				if got, want := bank.Next(), fresh.Next(); got != want {
+					t.Fatalf("%s bank of %d, draw %d: got %d, want %d", name, size, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestNeverSamplesAndAllocatesNothing(t *testing.T) {
+	var sink Source
+	allocs := testing.AllocsPerRun(100, func() {
+		sink = Never{}
+		if sink.Next() != NeverSample {
+			t.Fatal("Never sampled")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Never costs %v allocations per use", allocs)
+	}
+}

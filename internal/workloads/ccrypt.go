@@ -213,12 +213,8 @@ type CcryptWorld struct {
 
 // NewCcryptWorld creates a world for one run.
 func NewCcryptWorld(seed int64) *CcryptWorld {
-	rng := rand.New(rand.NewSource(seed))
-	return &CcryptWorld{
-		rng:      rng,
+	w := &CcryptWorld{
 		exists:   map[string]bool{},
-		files:    1 + rng.Intn(8),
-		force:    rng.Intn(100) < 10,
 		PExists:  40,
 		PForce:   10,
 		PEOF:     4,
@@ -226,6 +222,23 @@ func NewCcryptWorld(seed int64) *CcryptWorld {
 		PNo:      35,
 		PIOError: 2,
 	}
+	w.Reset(seed)
+	return w
+}
+
+// Reset turns w, in place, into the world of another run: the same draws
+// in the same order as NewCcryptWorld(seed), with the tunables kept. A
+// harness that makes many runs keeps one world and one Intrinsics map
+// (whose closures see the reset state) instead of building both per run.
+func (w *CcryptWorld) Reset(seed int64) {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(seed))
+	} else {
+		w.rng.Seed(seed)
+	}
+	clear(w.exists)
+	w.files = 1 + w.rng.Intn(8)
+	w.force = w.rng.Intn(100) < 10
 }
 
 // Intrinsics returns the host builtins backing the virtual environment.

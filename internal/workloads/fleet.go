@@ -90,12 +90,15 @@ func newFleetMetrics(workload string) fleetMetrics {
 // iteration, per-run duration/fuel histograms, crash counters, and the
 // crash-rate gauge, all under a "fleet.<workload>" span.
 //
-// Runs execute on a pool of fc.Workers goroutines. Each run's seed
-// derives only from its index (confFor(i)), and every worker writes its
-// report into a run-ID-indexed slot, so the assembled DB is
-// bit-identical to the serial loop regardless of scheduling.
+// Runs execute on a pool of fc.Workers goroutines. Each worker calls
+// newConfFor once and asks the function it returns for the config of
+// every run it makes, so host state that is costly to build (ccrypt's
+// world) is built per worker and reset per run. A run's config derives
+// only from its index, and every worker writes its report into a
+// run-ID-indexed slot, so the assembled DB is bit-identical to the serial
+// loop regardless of scheduling.
 func runFleet(workload string, prog *cfg.Program, fc FleetConfig,
-	confFor func(i int) interp.Config) (*report.DB, error) {
+	newConfFor func() func(i int) interp.Config) (*report.DB, error) {
 	span := telemetry.StartSpan("fleet." + workload)
 	defer span.End()
 	workers := fc.Workers
@@ -141,7 +144,7 @@ func runFleet(workload string, prog *cfg.Program, fc FleetConfig,
 	// One trace per deployed run: execute + submit nest under it, and
 	// the collector's ingest spans continue it (all nil-safe when no
 	// Tracer is configured).
-	runOne := func(i int) error {
+	runOne := func(i int, confFor func(i int) interp.Config) error {
 		runSpan := fc.Tracer.StartSpan("fleet.run")
 		defer runSpan.End()
 		runSpan.SetAttr("workload", workload)
@@ -178,12 +181,13 @@ func runFleet(workload string, prog *cfg.Program, fc FleetConfig,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			confFor := newConfFor()
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= fc.Runs {
 					return
 				}
-				if err := runOne(i); err != nil {
+				if err := runOne(i, confFor); err != nil {
 					fail(i, err)
 					return
 				}
@@ -212,16 +216,20 @@ func runFleet(workload string, prog *cfg.Program, fc FleetConfig,
 // CcryptFleet runs the ccrypt program across many randomized worlds.
 // prog must have been built against CcryptBuiltins().
 func CcryptFleet(prog *cfg.Program, fc FleetConfig) (*report.DB, error) {
-	return runFleet("ccrypt", prog, fc, func(i int) interp.Config {
-		seed := fc.SeedBase + int64(i)
-		world := NewCcryptWorld(seed*2654435761 + 1)
-		return interp.Config{
-			Seed:          seed,
-			Density:       fc.Density,
-			CountdownSeed: seed*40503 + 7,
-			Fuel:          fc.Fuel,
-			TraceCapacity: fc.TraceCapacity,
-			Intrinsics:    world.Intrinsics(),
+	return runFleet("ccrypt", prog, fc, func() func(i int) interp.Config {
+		world := NewCcryptWorld(0)
+		intrinsics := world.Intrinsics()
+		return func(i int) interp.Config {
+			seed := fc.SeedBase + int64(i)
+			world.Reset(seed*2654435761 + 1)
+			return interp.Config{
+				Seed:          seed,
+				Density:       fc.Density,
+				CountdownSeed: seed*40503 + 7,
+				Fuel:          fc.Fuel,
+				TraceCapacity: fc.TraceCapacity,
+				Intrinsics:    intrinsics,
+			}
 		}
 	})
 }
@@ -230,14 +238,16 @@ func CcryptFleet(prog *cfg.Program, fc FleetConfig) (*report.DB, error) {
 // prog must have been built against minic.DefaultBuiltins() (the program
 // generates its own input with rand()).
 func BCFleet(prog *cfg.Program, fc FleetConfig) (*report.DB, error) {
-	return runFleet("bc", prog, fc, func(i int) interp.Config {
-		seed := fc.SeedBase + int64(i)
-		return interp.Config{
-			Seed:          seed*6364136223846793005 + 1442695040888963407,
-			Density:       fc.Density,
-			CountdownSeed: seed*40503 + 11,
-			Fuel:          fc.Fuel,
-			TraceCapacity: fc.TraceCapacity,
+	return runFleet("bc", prog, fc, func() func(i int) interp.Config {
+		return func(i int) interp.Config {
+			seed := fc.SeedBase + int64(i)
+			return interp.Config{
+				Seed:          seed*6364136223846793005 + 1442695040888963407,
+				Density:       fc.Density,
+				CountdownSeed: seed*40503 + 11,
+				Fuel:          fc.Fuel,
+				TraceCapacity: fc.TraceCapacity,
+			}
 		}
 	})
 }

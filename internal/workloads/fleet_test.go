@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cbi/internal/cfg"
 	"cbi/internal/instrument"
+	"cbi/internal/interp"
 	"cbi/internal/report"
 )
 
@@ -42,6 +44,60 @@ func TestFleetParallelIsDeterministic(t *testing.T) {
 		se, pe := serial.Reports[i].Encode(), parallel.Reports[i].Encode()
 		if !bytes.Equal(se, pe) {
 			t.Fatalf("report %d differs between serial and 8-worker fleets", i)
+		}
+	}
+}
+
+// TestFleetMatchesFreshRuns holds the fleet's economies — a world per
+// worker reset per run, VMs recycled by the shared Compiled — to the
+// definition of a fleet: report i is the report of a run on a new
+// tree-walking VM, in ccrypt's case against a new world, whatever the
+// worker count.
+func TestFleetMatchesFreshRuns(t *testing.T) {
+	ccrypt, err := BuildCcrypt(instrument.SchemeSet{Returns: true}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc, err := BuildBC(instrument.SchemeSet{ScalarPairs: true}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := FleetConfig{Runs: 150, Density: 1.0 / 20, SeedBase: 11, TraceCapacity: 8}
+	for _, tc := range []struct {
+		name  string
+		prog  *cfg.Program
+		fleet func(*cfg.Program, FleetConfig) (*report.DB, error)
+		conf  func(seed int64) interp.Config
+	}{
+		{"ccrypt", ccrypt.Program, CcryptFleet, func(seed int64) interp.Config {
+			return interp.Config{Seed: seed, CountdownSeed: seed*40503 + 7,
+				Intrinsics: NewCcryptWorld(seed*2654435761 + 1).Intrinsics()}
+		}},
+		{"bc", bc.Program, BCFleet, func(seed int64) interp.Config {
+			return interp.Config{Seed: seed*6364136223846793005 + 1442695040888963407,
+				CountdownSeed: seed*40503 + 11}
+		}},
+	} {
+		want := make([][]byte, fc.Runs)
+		for i := range want {
+			conf := tc.conf(fc.SeedBase + int64(i))
+			conf.Engine, conf.Density, conf.TraceCapacity = interp.EngineTree, fc.Density, fc.TraceCapacity
+			want[i] = ReportOf(tc.name, uint64(i), interp.Run(tc.prog, conf)).Encode()
+		}
+		for _, workers := range []int{1, 4} {
+			fc.Workers = workers
+			db, err := tc.fleet(tc.prog, fc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.Len() != fc.Runs {
+				t.Fatalf("%s, %d workers: %d reports, want %d", tc.name, workers, db.Len(), fc.Runs)
+			}
+			for i, rep := range db.Reports {
+				if !bytes.Equal(rep.Encode(), want[i]) {
+					t.Fatalf("%s, %d workers: report %d differs from a fresh tree-walker run", tc.name, workers, i)
+				}
+			}
 		}
 	}
 }
