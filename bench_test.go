@@ -363,7 +363,65 @@ func BenchmarkReportCodec(b *testing.B) {
 			}
 		}
 	})
+
+	// The ingest hot path's shape: sampled bc reports as the repository's
+	// benchmark sends them (ScalarPairs at density 1/10: 1 792 counters,
+	// about 376 of them nonzero, about 780 B on the wire), sparse cache
+	// primed, in /reports batches of 32.
+	built, err := workloads.BuildBC(instrument.SchemeSet{ScalarPairs: true}, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := workloads.BCFleet(built.Program, workloads.FleetConfig{Runs: 64, Density: 1.0 / 10, SeedBase: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := db.Reports
+	wire := make([][]byte, len(pool))
+	var wireBytes int64
+	for i, r := range pool {
+		r.Nonzeros()
+		wire[i] = r.Encode()
+		wireBytes += int64(len(wire[i]))
+	}
+	b.Run("bc/encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(wireBytes / int64(len(pool)))
+		for i := 0; i < b.N; i++ {
+			codecSink = pool[i%len(pool)].Encode()
+		}
+	})
+	b.Run("bc/decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(wireBytes / int64(len(pool)))
+		for i := 0; i < b.N; i++ {
+			if _, err := report.Decode(wire[i%len(wire)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	batch := pool[:32]
+	body := report.EncodeBatch(batch)
+	b.Run("bc/batch_encode/32", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			codecSink = report.EncodeBatch(batch)
+		}
+	})
+	b.Run("bc/batch_decode/32", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if _, err := report.DecodeBatch(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
+
+// codecSink keeps the encode benchmarks' results alive.
+var codecSink []byte
 
 // BenchmarkCcryptRunStartup is one deployed ccrypt run as the fleet makes
 // it (sampled 1/100, one Compiled, one world reset per run): about 1 k VM

@@ -95,14 +95,24 @@ func (a *Accum) Fold(r *report.Report) error {
 		obsTrue, obsSite = a.TrueFail, a.SiteObsFail
 	}
 	a.gen++
-	r.ForEachNonzero(func(i int, _ uint64) {
-		obsTrue[i]++
-		if si := a.spanOf[i]; si >= 0 && a.mark[si] != a.gen {
-			a.mark[si] = a.gen
-			obsSite[si]++
+	if nz := r.CachedNonzeros(); nz != nil {
+		for _, e := range nz {
+			a.observe(obsTrue, obsSite, int(e.Index))
 		}
-	})
+		return nil
+	}
+	r.ForEachNonzero(func(i int, _ uint64) { a.observe(obsTrue, obsSite, i) })
 	return nil
+}
+
+// observe counts counter i as seen true in the run being folded, and its
+// site as observed if this is the run's first counter there.
+func (a *Accum) observe(obsTrue, obsSite []int, i int) {
+	obsTrue[i]++
+	if si := a.spanOf[i]; si >= 0 && a.mark[si] != a.gen {
+		a.mark[si] = a.gen
+		obsSite[si]++
+	}
 }
 
 // FoldBatch absorbs pre-merged batch statistics (report.BatchStats).

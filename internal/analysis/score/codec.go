@@ -19,62 +19,40 @@ package score
 //	repeated: uvarint indexDelta, uvarint obsFail, uvarint obsOK
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"cbi/internal/wire"
 )
 
 // ErrBadAccum is returned when an encoded accumulator is malformed.
 var ErrBadAccum = errors.New("score: malformed accumulator encoding")
 
-type statsEncoder struct{ buf []byte }
-
-func (e *statsEncoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-type statsDecoder struct {
-	buf []byte
-	off int
-	err bool
-}
-
-func (d *statsDecoder) uvarint() uint64 {
-	if d.err {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = true
-		return 0
-	}
-	d.off += n
-	return v
-}
-
 // EncodeStats serializes the accumulator's public statistics. The
 // private fold scratch (span map, generation marks) is derived state
 // and never crosses the wire.
 func (a *Accum) EncodeStats() []byte {
-	e := &statsEncoder{}
-	e.uvarint(uint64(a.NumCounters))
-	e.uvarint(uint64(len(a.Spans)))
-	e.uvarint(uint64(a.Runs))
-	e.uvarint(uint64(a.Failures))
+	var e wire.Enc
+	e.Uvarint(uint64(a.NumCounters))
+	e.Uvarint(uint64(len(a.Spans)))
+	e.Uvarint(uint64(a.Runs))
+	e.Uvarint(uint64(a.Failures))
 	entries := 0
 	for i := range a.TrueFail {
 		if a.TrueFail[i] != 0 || a.TrueOK[i] != 0 {
 			entries++
 		}
 	}
-	e.uvarint(uint64(entries))
+	e.Uvarint(uint64(entries))
 	prev := 0
 	for i := range a.TrueFail {
 		if a.TrueFail[i] == 0 && a.TrueOK[i] == 0 {
 			continue
 		}
-		e.uvarint(uint64(i - prev))
+		e.Uvarint(uint64(i - prev))
 		prev = i
-		e.uvarint(uint64(a.TrueFail[i]))
-		e.uvarint(uint64(a.TrueOK[i]))
+		e.Uvarint(uint64(a.TrueFail[i]))
+		e.Uvarint(uint64(a.TrueOK[i]))
 	}
 	sites := 0
 	for i := range a.SiteObsFail {
@@ -82,18 +60,18 @@ func (a *Accum) EncodeStats() []byte {
 			sites++
 		}
 	}
-	e.uvarint(uint64(sites))
+	e.Uvarint(uint64(sites))
 	prev = 0
 	for i := range a.SiteObsFail {
 		if a.SiteObsFail[i] == 0 && a.SiteObsOK[i] == 0 {
 			continue
 		}
-		e.uvarint(uint64(i - prev))
+		e.Uvarint(uint64(i - prev))
 		prev = i
-		e.uvarint(uint64(a.SiteObsFail[i]))
-		e.uvarint(uint64(a.SiteObsOK[i]))
+		e.Uvarint(uint64(a.SiteObsFail[i]))
+		e.Uvarint(uint64(a.SiteObsOK[i]))
 	}
-	return e.buf
+	return e.Buf
 }
 
 // DecodeAccumStats parses a payload produced by EncodeStats. spans is
@@ -103,13 +81,13 @@ func (a *Accum) EncodeStats() []byte {
 // Merge source (its fold scratch is rebuilt lazily if it is ever used
 // as a Merge target that adopts shape).
 func DecodeAccumStats(data []byte, spans []SiteSpan) (*Accum, error) {
-	d := &statsDecoder{buf: data}
-	n := d.uvarint()
-	nSpans := d.uvarint()
-	runs := d.uvarint()
-	failures := d.uvarint()
-	entries := d.uvarint()
-	if d.err || n > 1<<28 || entries > n || failures > runs {
+	d := wire.NewDec(data, 0)
+	n := d.Uvarint()
+	nSpans := d.Uvarint()
+	runs := d.Uvarint()
+	failures := d.Uvarint()
+	entries := d.Uvarint()
+	if d.Bad() || n > 1<<28 || entries > n || failures > runs {
 		return nil, ErrBadAccum
 	}
 	if int(nSpans) != len(spans) {
@@ -125,10 +103,10 @@ func DecodeAccumStats(data []byte, spans []SiteSpan) (*Accum, error) {
 	a.Failures = int(failures)
 	idx := 0
 	for i := uint64(0); i < entries; i++ {
-		delta := d.uvarint()
-		tf := d.uvarint()
-		tok := d.uvarint()
-		if d.err {
+		delta := d.Uvarint()
+		tf := d.Uvarint()
+		tok := d.Uvarint()
+		if d.Bad() {
 			return nil, ErrBadAccum
 		}
 		idx += int(delta)
@@ -138,16 +116,16 @@ func DecodeAccumStats(data []byte, spans []SiteSpan) (*Accum, error) {
 		a.TrueFail[idx] = int(tf)
 		a.TrueOK[idx] = int(tok)
 	}
-	sites := d.uvarint()
-	if d.err || sites > nSpans {
+	sites := d.Uvarint()
+	if d.Bad() || sites > nSpans {
 		return nil, ErrBadAccum
 	}
 	idx = 0
 	for i := uint64(0); i < sites; i++ {
-		delta := d.uvarint()
-		of := d.uvarint()
-		ook := d.uvarint()
-		if d.err {
+		delta := d.Uvarint()
+		of := d.Uvarint()
+		ook := d.Uvarint()
+		if d.Bad() {
 			return nil, ErrBadAccum
 		}
 		idx += int(delta)
@@ -157,7 +135,7 @@ func DecodeAccumStats(data []byte, spans []SiteSpan) (*Accum, error) {
 		a.SiteObsFail[idx] = int(of)
 		a.SiteObsOK[idx] = int(ook)
 	}
-	if d.off != len(data) {
+	if !d.Done() {
 		return nil, ErrBadAccum
 	}
 	return a, nil

@@ -522,24 +522,51 @@ func (s *Server) countRequest(endpoint string, code int) {
 	actual.(*telemetry.Counter).Inc()
 }
 
-// readBody pulls in a request body up to MaxBodyBytes, rejecting
-// oversize payloads with 413 instead of silently truncating them into a
-// confusing decode error. The bool result reports success.
+// maxBodyPresize caps the buffer readLimited allocates on the word of a
+// Content-Length header alone; a longer body grows the buffer as it
+// arrives, so a header announcing 64 MiB that never come costs 4.
+const maxBodyPresize = 4 << 20
+
+var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes)
+
+// readLimited reads a request body of at most MaxBodyBytes, in one
+// buffer sized from Content-Length when the header is present (a header
+// that is absent or wrong falls back to a growing read). It returns
+// errBodyTooLarge, with what was read, for a longer body.
+func readLimited(r *http.Request) ([]byte, error) {
+	size := int64(0)
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, maxBodyPresize)
+	}
+	// ReadFrom wants MinRead spare bytes before every read, the one that
+	// meets EOF included.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, MaxBodyBytes+1)); err != nil {
+		return buf.Bytes(), err
+	}
+	if buf.Len() > MaxBodyBytes {
+		return buf.Bytes(), errBodyTooLarge
+	}
+	return buf.Bytes(), nil
+}
+
+// readBody pulls in a report request body, rejecting oversize payloads
+// with 413 instead of silently truncating them into a confusing decode
+// error. The bool result reports success.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, ingest *trace.Span) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes+1))
+	body, err := readLimited(r)
+	if err == errBodyTooLarge {
+		s.m.rejectedSize.Inc()
+		s.Quality.ObserveRejected(quality.ReasonTooLarge, body)
+		ingest.SetAttr("outcome", "rejected-too-large")
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
 	if err != nil {
 		s.m.rejectedRead.Inc()
 		s.Quality.ObserveRejected(quality.ReasonRead, body)
 		ingest.SetAttr("outcome", "rejected-read")
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if len(body) > MaxBodyBytes {
-		s.m.rejectedSize.Inc()
-		s.Quality.ObserveRejected(quality.ReasonTooLarge, body)
-		ingest.SetAttr("outcome", "rejected-too-large")
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes),
-			http.StatusRequestEntityTooLarge)
 		return nil, false
 	}
 	ingest.SetAttr("bytes", strconv.Itoa(len(body)))
@@ -566,7 +593,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	decodeSpan := ingest.StartChild("server.decode")
 	t0 := time.Now()
-	rep, err := report.Decode(body)
+	rep, err := report.DecodeShaped(body, int(s.shape.Load()))
 	s.m.decodeSeconds.Observe(time.Since(t0).Seconds())
 	decodeSpan.End()
 	if err != nil {
@@ -727,11 +754,14 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var reps []*report.Report
 	var err error
-	if report.IsBatch(body) {
-		reps, err = report.DecodeBatch(body)
+	// The decoder is told the counter space, so a frame claiming another
+	// is rejected before its vector exists; until an "accept any" server
+	// adopts a shape, only the format's own cap applies.
+	if shape := int(s.shape.Load()); report.IsBatch(body) {
+		reps, err = report.DecodeBatchShaped(body, shape)
 	} else {
 		var rep *report.Report
-		rep, err = report.Decode(body)
+		rep, err = report.DecodeShaped(body, shape)
 		reps = []*report.Report{rep}
 	}
 	s.m.decodeSeconds.Observe(time.Since(t0).Seconds())

@@ -35,7 +35,6 @@ package collect
 import (
 	"bytes"
 	crand "crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -49,6 +48,7 @@ import (
 	"cbi/internal/analysis/score"
 	"cbi/internal/quality"
 	"cbi/internal/report"
+	"cbi/internal/wire"
 )
 
 // Federation configures a server as an edge of a collector tree. Set
@@ -119,55 +119,6 @@ const (
 // ErrBadMerge is returned when a merge envelope is malformed.
 var ErrBadMerge = errors.New("collect: malformed merge envelope")
 
-type wireEnc struct{ buf []byte }
-
-func (e *wireEnc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *wireEnc) byteVal(b byte)   { e.buf = append(e.buf, b) }
-func (e *wireEnc) bytes(b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-type wireDec struct {
-	buf []byte
-	off int
-	err bool
-}
-
-func (d *wireDec) uvarint() uint64 {
-	if d.err {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = true
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *wireDec) byteVal() byte {
-	if d.err || d.off >= len(d.buf) {
-		d.err = true
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-func (d *wireDec) bytes() []byte {
-	size := d.uvarint()
-	if d.err || size > uint64(len(d.buf)-d.off) {
-		d.err = true
-		return nil
-	}
-	b := d.buf[d.off : d.off+int(size)]
-	d.off += int(size)
-	return b
-}
-
 // mergeEnvelope is a decoded "CBA1" push: identity, epoch cursor, shape
 // claim, and the raw section payloads (decoded lazily by the receiver,
 // which supplies its own site spans to the Accum codec).
@@ -183,55 +134,55 @@ type mergeEnvelope struct {
 }
 
 func encodeMergeEnvelope(env *mergeEnvelope) []byte {
-	e := &wireEnc{buf: append([]byte(nil), mergeMagic...)}
-	e.byteVal(mergeVersion)
-	e.bytes([]byte(env.edgeID))
-	e.uvarint(env.epoch)
-	e.bytes([]byte(env.program))
-	e.uvarint(uint64(env.numCounters))
-	e.uvarint(uint64(env.numSpans))
+	e := wire.Enc{Buf: append([]byte(nil), mergeMagic...)}
+	e.Byte(mergeVersion)
+	e.String(env.edgeID)
+	e.Uvarint(env.epoch)
+	e.String(env.program)
+	e.Uvarint(uint64(env.numCounters))
+	e.Uvarint(uint64(env.numSpans))
 	sections := 0
 	for _, raw := range [][]byte{env.aggRaw, env.accRaw, env.qualRaw} {
 		if raw != nil {
 			sections++
 		}
 	}
-	e.uvarint(uint64(sections))
+	e.Uvarint(uint64(sections))
 	emit := func(tag byte, raw []byte) {
 		if raw != nil {
-			e.byteVal(tag)
-			e.bytes(raw)
+			e.Byte(tag)
+			e.Bytes(raw)
 		}
 	}
 	emit(mergeSectionAgg, env.aggRaw)
 	emit(mergeSectionAcc, env.accRaw)
 	emit(mergeSectionQual, env.qualRaw)
-	return e.buf
+	return e.Buf
 }
 
 func decodeMergeEnvelope(data []byte) (*mergeEnvelope, error) {
 	if len(data) < len(mergeMagic) || !bytes.Equal(data[:len(mergeMagic)], mergeMagic) {
 		return nil, ErrBadMerge
 	}
-	d := &wireDec{buf: data, off: len(mergeMagic)}
-	if v := d.byteVal(); d.err || v != mergeVersion {
+	d := wire.NewDec(data, len(mergeMagic))
+	if v := d.Byte(); d.Bad() || v != mergeVersion {
 		return nil, fmt.Errorf("collect: merge envelope version %d, want %d", v, mergeVersion)
 	}
 	env := &mergeEnvelope{}
-	env.edgeID = string(d.bytes())
-	env.epoch = d.uvarint()
-	env.program = string(d.bytes())
-	env.numCounters = int(d.uvarint())
-	env.numSpans = int(d.uvarint())
-	sections := d.uvarint()
-	if d.err || env.edgeID == "" || env.numCounters < 0 || env.numCounters > 1<<28 ||
+	env.edgeID = string(d.Bytes())
+	env.epoch = d.Uvarint()
+	env.program = string(d.Bytes())
+	env.numCounters = int(d.Uvarint())
+	env.numSpans = int(d.Uvarint())
+	sections := d.Uvarint()
+	if d.Bad() || env.edgeID == "" || env.numCounters < 0 || env.numCounters > 1<<28 ||
 		sections > maxMergeSections {
 		return nil, ErrBadMerge
 	}
 	for i := uint64(0); i < sections; i++ {
-		tag := d.byteVal()
-		raw := d.bytes()
-		if d.err {
+		tag := d.Byte()
+		raw := d.Bytes()
+		if d.Bad() {
 			return nil, ErrBadMerge
 		}
 		switch tag {
@@ -247,7 +198,7 @@ func decodeMergeEnvelope(data []byte) (*mergeEnvelope, error) {
 			// still fold.
 		}
 	}
-	if d.off != len(data) {
+	if !d.Done() {
 		return nil, ErrBadMerge
 	}
 	return env, nil
@@ -565,14 +516,13 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		s.rejectMerge(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes+1))
-	if err != nil {
-		s.rejectMerge(w, http.StatusBadRequest, err.Error())
+	body, err := readLimited(r)
+	if err == errBodyTooLarge {
+		s.rejectMerge(w, http.StatusRequestEntityTooLarge, err.Error())
 		return
 	}
-	if len(body) > MaxBodyBytes {
-		s.rejectMerge(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("merge body exceeds %d bytes", MaxBodyBytes))
+	if err != nil {
+		s.rejectMerge(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	env, err := decodeMergeEnvelope(body)

@@ -45,6 +45,7 @@ import (
 	"cbi/internal/analysis/score"
 	"cbi/internal/quality"
 	"cbi/internal/report"
+	"cbi/internal/wire"
 )
 
 // defaultSpillSnapshotInterval is the standalone snapshot cadence when
@@ -283,13 +284,13 @@ func (s *Server) buildSpillState(cut serverCut) []byte {
 	if prog == "" {
 		prog = cut.agg.Program
 	}
-	e := &wireEnc{buf: append([]byte(nil), spillMagic...)}
-	e.byteVal(spillVersion)
-	e.bytes([]byte(edgeID))
-	e.uvarint(epoch)
-	e.bytes([]byte(prog))
-	e.uvarint(uint64(cut.agg.NumCounters))
-	e.uvarint(uint64(len(s.Sites)))
+	e := wire.Enc{Buf: append([]byte(nil), spillMagic...)}
+	e.Byte(spillVersion)
+	e.String(edgeID)
+	e.Uvarint(epoch)
+	e.String(prog)
+	e.Uvarint(uint64(cut.agg.NumCounters))
+	e.Uvarint(uint64(len(s.Sites)))
 	type section struct {
 		tag byte
 		raw []byte
@@ -300,60 +301,60 @@ func (s *Server) buildSpillState(cut serverCut) []byte {
 	}
 	sections = append(sections, section{spillSectionQual, cut.qual.Encode()})
 	if len(pending) > 0 {
-		pe := &wireEnc{}
-		pe.uvarint(uint64(len(pending)))
+		var pe wire.Enc
+		pe.Uvarint(uint64(len(pending)))
 		for _, p := range pending {
-			pe.uvarint(p.epoch)
-			pe.bytes(p.payload)
+			pe.Uvarint(p.epoch)
+			pe.Bytes(p.payload)
 		}
-		sections = append(sections, section{spillSectionPending, pe.buf})
+		sections = append(sections, section{spillSectionPending, pe.Buf})
 	}
 	if s.AcceptMerges {
 		s.mergeMu.Lock()
-		var me *wireEnc
+		var me *wire.Enc
 		if len(s.mergeSeen) > 0 {
-			me = &wireEnc{}
-			me.uvarint(uint64(len(s.mergeSeen)))
+			me = &wire.Enc{}
+			me.Uvarint(uint64(len(s.mergeSeen)))
 			for id, ep := range s.mergeSeen {
-				me.bytes([]byte(id))
-				me.uvarint(ep)
+				me.String(id)
+				me.Uvarint(ep)
 			}
 		}
 		s.mergeMu.Unlock()
 		if me != nil {
-			sections = append(sections, section{spillSectionMergeSeen, me.buf})
+			sections = append(sections, section{spillSectionMergeSeen, me.Buf})
 		}
 	}
-	e.uvarint(uint64(len(sections)))
+	e.Uvarint(uint64(len(sections)))
 	for _, sec := range sections {
-		e.byteVal(sec.tag)
-		e.bytes(sec.raw)
+		e.Byte(sec.tag)
+		e.Bytes(sec.raw)
 	}
-	return e.buf
+	return e.Buf
 }
 
 func decodeSpillState(data []byte) (*spillPersisted, error) {
 	if len(data) < len(spillMagic) || string(data[:len(spillMagic)]) != string(spillMagic) {
 		return nil, fmt.Errorf("bad magic")
 	}
-	d := &wireDec{buf: data, off: len(spillMagic)}
-	if v := d.byteVal(); d.err || v != spillVersion {
+	d := wire.NewDec(data, len(spillMagic))
+	if v := d.Byte(); d.Bad() || v != spillVersion {
 		return nil, fmt.Errorf("version %d, want %d", v, spillVersion)
 	}
 	st := &spillPersisted{}
-	st.edgeID = string(d.bytes())
-	st.epoch = d.uvarint()
-	st.program = string(d.bytes())
-	st.numCounters = int(d.uvarint())
-	st.numSpans = int(d.uvarint())
-	sections := d.uvarint()
-	if d.err || sections > maxSpillSections {
+	st.edgeID = string(d.Bytes())
+	st.epoch = d.Uvarint()
+	st.program = string(d.Bytes())
+	st.numCounters = int(d.Uvarint())
+	st.numSpans = int(d.Uvarint())
+	sections := d.Uvarint()
+	if d.Bad() || sections > maxSpillSections {
 		return nil, fmt.Errorf("malformed header")
 	}
 	for i := uint64(0); i < sections; i++ {
-		tag := d.byteVal()
-		raw := d.bytes()
-		if d.err {
+		tag := d.Byte()
+		raw := d.Bytes()
+		if d.Bad() {
 			return nil, fmt.Errorf("malformed section")
 		}
 		switch tag {
@@ -364,45 +365,45 @@ func decodeSpillState(data []byte) (*spillPersisted, error) {
 		case spillSectionQual:
 			st.qualRaw = raw
 		case spillSectionPending:
-			pd := &wireDec{buf: raw}
-			n := pd.uvarint()
-			if pd.err || n > maxSpillPending {
+			pd := wire.NewDec(raw, 0)
+			n := pd.Uvarint()
+			if pd.Bad() || n > maxSpillPending {
 				return nil, fmt.Errorf("malformed pending section")
 			}
 			for j := uint64(0); j < n; j++ {
-				ep := pd.uvarint()
-				payload := pd.bytes()
-				if pd.err {
+				ep := pd.Uvarint()
+				payload := pd.Bytes()
+				if pd.Bad() {
 					return nil, fmt.Errorf("malformed pending epoch")
 				}
 				st.pending = append(st.pending, fedPending{epoch: ep, payload: payload})
 			}
-			if pd.off != len(raw) {
+			if !pd.Done() {
 				return nil, fmt.Errorf("malformed pending section")
 			}
 		case spillSectionMergeSeen:
-			md := &wireDec{buf: raw}
-			n := md.uvarint()
-			if md.err || n > maxSpillEdges {
+			md := wire.NewDec(raw, 0)
+			n := md.Uvarint()
+			if md.Bad() || n > maxSpillEdges {
 				return nil, fmt.Errorf("malformed merge-cursor section")
 			}
 			st.mergeSeen = make(map[string]uint64, n)
 			for j := uint64(0); j < n; j++ {
-				id := string(md.bytes())
-				ep := md.uvarint()
-				if md.err {
+				id := string(md.Bytes())
+				ep := md.Uvarint()
+				if md.Bad() {
 					return nil, fmt.Errorf("malformed merge cursor")
 				}
 				st.mergeSeen[id] = ep
 			}
-			if md.off != len(raw) {
+			if !md.Done() {
 				return nil, fmt.Errorf("malformed merge-cursor section")
 			}
 		default:
 			// Unknown section from a newer build: ignore.
 		}
 	}
-	if d.off != len(data) {
+	if !d.Done() {
 		return nil, fmt.Errorf("trailing bytes")
 	}
 	return st, nil

@@ -13,8 +13,9 @@ package quality
 // sketches describe only its local traffic (DESIGN §14).
 
 import (
-	"encoding/binary"
 	"errors"
+
+	"cbi/internal/wire"
 )
 
 // NumReasons is the number of rejection reasons a Digest carries.
@@ -69,45 +70,37 @@ func (d Digest) Sub(base Digest) Digest {
 // evolvable: a receiver with fewer known reasons rejects rather than
 // misattributing counts.
 func (d Digest) Encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(NumReasons))
-	buf = binary.AppendUvarint(buf, d.ReportPosts)
-	buf = binary.AppendUvarint(buf, d.ReportsPosts)
-	buf = binary.AppendUvarint(buf, d.Accepted)
+	var e wire.Enc
+	e.Uvarint(uint64(NumReasons))
+	e.Uvarint(d.ReportPosts)
+	e.Uvarint(d.ReportsPosts)
+	e.Uvarint(d.Accepted)
 	for _, v := range d.Rejected {
-		buf = binary.AppendUvarint(buf, v)
+		e.Uvarint(v)
 	}
-	buf = binary.AppendUvarint(buf, d.BytesCount)
-	buf = binary.AppendUvarint(buf, d.BytesSum)
-	buf = binary.AppendUvarint(buf, d.NzSum)
-	return buf
+	e.Uvarint(d.BytesCount)
+	e.Uvarint(d.BytesSum)
+	e.Uvarint(d.NzSum)
+	return e.Buf
 }
 
 // DecodeDigest parses a payload produced by Encode.
 func DecodeDigest(data []byte) (Digest, error) {
 	var d Digest
-	off := 0
-	next := func() uint64 {
-		v, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			off = -1 << 30 // poison: every later read fails too
-			return 0
-		}
-		off += n
-		return v
-	}
-	if nr := next(); off < 0 || nr != uint64(NumReasons) {
+	r := wire.NewDec(data, 0)
+	if nr := r.Uvarint(); r.Bad() || nr != uint64(NumReasons) {
 		return d, ErrBadDigest
 	}
-	d.ReportPosts = next()
-	d.ReportsPosts = next()
-	d.Accepted = next()
+	d.ReportPosts = r.Uvarint()
+	d.ReportsPosts = r.Uvarint()
+	d.Accepted = r.Uvarint()
 	for i := range d.Rejected {
-		d.Rejected[i] = next()
+		d.Rejected[i] = r.Uvarint()
 	}
-	d.BytesCount = next()
-	d.BytesSum = next()
-	d.NzSum = next()
-	if off != len(data) {
+	d.BytesCount = r.Uvarint()
+	d.BytesSum = r.Uvarint()
+	d.NzSum = r.Uvarint()
+	if !r.Done() {
 		return d, ErrBadDigest
 	}
 	return d, nil

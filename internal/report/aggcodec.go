@@ -24,6 +24,8 @@ package report
 import (
 	"errors"
 	"fmt"
+
+	"cbi/internal/wire"
 )
 
 // ErrBadAggregate is returned when an encoded aggregate is malformed.
@@ -32,23 +34,23 @@ var ErrBadAggregate = errors.New("report: malformed aggregate encoding")
 // EncodeStats serializes the aggregate's sufficient statistics (the
 // program name travels in the enclosing envelope, not here).
 func (a *Aggregate) EncodeStats() []byte {
-	e := &encoder{}
-	e.uvarint(uint64(a.NumCounters))
-	e.uvarint(uint64(a.Runs))
-	e.uvarint(uint64(a.Crashes))
+	var e wire.Enc
+	e.Uvarint(uint64(a.NumCounters))
+	e.Uvarint(uint64(a.Runs))
+	e.Uvarint(uint64(a.Crashes))
 	entries := 0
 	for i := 0; i < a.NumCounters; i++ {
 		if a.Totals[i] != 0 || a.NonzeroInSuccess[i] || a.NonzeroInFailure[i] {
 			entries++
 		}
 	}
-	e.uvarint(uint64(entries))
+	e.Uvarint(uint64(entries))
 	prev := 0
 	for i := 0; i < a.NumCounters; i++ {
 		if a.Totals[i] == 0 && !a.NonzeroInSuccess[i] && !a.NonzeroInFailure[i] {
 			continue
 		}
-		e.uvarint(uint64(i - prev))
+		e.Uvarint(uint64(i - prev))
 		prev = i
 		var bits byte
 		if a.NonzeroInSuccess[i] {
@@ -57,20 +59,20 @@ func (a *Aggregate) EncodeStats() []byte {
 		if a.NonzeroInFailure[i] {
 			bits |= 2
 		}
-		e.byteVal(bits)
-		e.uvarint(a.Totals[i])
+		e.Byte(bits)
+		e.Uvarint(a.Totals[i])
 	}
-	return e.buf
+	return e.Buf
 }
 
 // DecodeAggregateStats parses a payload produced by EncodeStats.
 func DecodeAggregateStats(data []byte) (*Aggregate, error) {
-	d := &decoder{buf: data}
-	n := d.uvarint()
-	runs := d.uvarint()
-	crashes := d.uvarint()
-	entries := d.uvarint()
-	if d.err != nil {
+	d := wire.NewDec(data, 0)
+	n := d.Uvarint()
+	runs := d.Uvarint()
+	crashes := d.Uvarint()
+	entries := d.Uvarint()
+	if d.Bad() {
 		return nil, ErrBadAggregate
 	}
 	if n > 1<<28 || entries > n || crashes > runs {
@@ -81,10 +83,10 @@ func DecodeAggregateStats(data []byte) (*Aggregate, error) {
 	a.Crashes = int(crashes)
 	idx := 0
 	for i := uint64(0); i < entries; i++ {
-		delta := d.uvarint()
-		bits := d.byteVal()
-		total := d.uvarint()
-		if d.err != nil {
+		delta := d.Uvarint()
+		bits := d.Byte()
+		total := d.Uvarint()
+		if d.Bad() {
 			return nil, ErrBadAggregate
 		}
 		idx += int(delta)
@@ -95,7 +97,7 @@ func DecodeAggregateStats(data []byte) (*Aggregate, error) {
 		a.NonzeroInFailure[idx] = bits&2 != 0
 		a.Totals[idx] = total
 	}
-	if d.off != len(data) {
+	if !d.Done() {
 		return nil, ErrBadAggregate
 	}
 	return a, nil

@@ -74,17 +74,25 @@ func (b *BatchStats) Observe(r *Report) error {
 		b.Crashes++
 		cnt = b.FailRuns
 	}
-	g := b.gen
-	r.ForEachNonzero(func(i int, c uint64) {
-		if b.mark[i] != g {
-			b.mark[i] = g
-			b.Sums[i], b.SuccRuns[i], b.FailRuns[i] = 0, 0, 0
-			b.Touched = append(b.Touched, int32(i))
+	if r.nz != nil {
+		for _, e := range r.nz {
+			b.observe(cnt, int(e.Index), e.Value)
 		}
-		b.Sums[i] += c
-		cnt[i]++
-	})
+		return nil
+	}
+	r.ForEachNonzero(func(i int, c uint64) { b.observe(cnt, i, c) })
 	return nil
+}
+
+// observe merges one nonzero counter of a run whose outcome tally is cnt.
+func (b *BatchStats) observe(cnt []uint32, i int, c uint64) {
+	if b.mark[i] != b.gen {
+		b.mark[i] = b.gen
+		b.Sums[i], b.SuccRuns[i], b.FailRuns[i] = 0, 0, 0
+		b.Touched = append(b.Touched, int32(i))
+	}
+	b.Sums[i] += c
+	cnt[i]++
 }
 
 // FoldBatch applies pre-merged batch statistics to the aggregate. The

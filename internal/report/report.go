@@ -6,9 +6,13 @@
 package report
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"cbi/internal/wire"
 )
 
 // Report is the result of one remote run. Its size is dominated by the
@@ -84,16 +88,18 @@ func (r *Report) Nonzeros() []CounterNZ {
 				n++
 			}
 		}
-		nz := make([]CounterNZ, 0, n)
-		for i, c := range r.Counters {
-			if c != 0 {
-				nz = append(nz, CounterNZ{Index: int32(i), Value: c})
-			}
-		}
-		r.nz = nz
+		r.nz = appendNonzeros(make([]CounterNZ, 0, n), r.Counters)
 	}
 	return r.nz
 }
+
+// CachedNonzeros returns the sparse form if the report carries one
+// (every strictly decoded report does, and every report Nonzeros was
+// called on) and nil if it does not; it never mutates the report. The
+// per-report folds range over it, so that their inner loops do not
+// depend on the compiler inlining ForEachNonzero and its callback, and
+// fall back to ForEachNonzero for a report without a cache.
+func (r *Report) CachedNonzeros() []CounterNZ { return r.nz }
 
 // ForEachNonzero calls f for every nonzero counter in ascending index
 // order. It uses the cached sparse form when one exists and falls back
@@ -141,187 +147,326 @@ func (r *Report) Label() int {
 //	varint len(Trace)
 //	repeated: varint siteID
 
-var magic = []byte("CBR1")
+const magic = "CBR1"
+
+// MaxCounters is the largest counter space the format admits. A decoder
+// that knows its program's counter space (DecodeShaped) never allocates
+// on a claim that differs from it; one that does not allocates at most
+// this many counters, 2 GiB, on a report's say-so.
+const MaxCounters = 1 << 28
+
+// maxTrace bounds the partial trace a report may carry.
+const maxTrace = 1 << 20
 
 // ErrBadReport is returned by Decode for malformed input.
 var ErrBadReport = errors.New("report: malformed encoding")
 
-type encoder struct{ buf []byte }
+// ErrShape is returned by DecodeShaped and DecodeBatchShaped for a
+// well-formed header that claims another counter space than the
+// receiver's.
+var ErrShape = errors.New("report: counter vector length does not match")
 
-func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *encoder) bytes(b []byte)   { e.uvarint(uint64(len(b))); e.buf = append(e.buf, b...) }
-func (e *encoder) byteVal(b byte)   { e.buf = append(e.buf, b) }
+// The encoder works from the report's nonzero pairs alone: the cache
+// when the report carries one, otherwise pairs gathered by one scan of
+// the dense vector into pooled scratch. A sizing pass over the pairs
+// gives the exact length, so the bytes are written once, in place, into
+// a buffer that never grows. The cache is only ever built from the
+// vector it sits beside (Nonzeros, Decode) and is dropped on lenient
+// input, so both sources list the same pairs and yield the same bytes.
+
+// encodePlan is the sizing pass of one Encode or EncodeBatch call.
+type encodePlan struct {
+	frames []framePlan
+	pairs  []CounterNZ // pairs of the reports that came without a cache, back to back
+}
+
+type framePlan struct {
+	size   int // exact encoded length of the report
+	lo, hi int // its pairs are plan.pairs[lo:hi]; lo < 0 means the report's own cache
+}
+
+var planPool = sync.Pool{New: func() any { return new(encodePlan) }}
+
+func getPlan() *encodePlan {
+	p := planPool.Get().(*encodePlan)
+	p.frames, p.pairs = p.frames[:0], p.pairs[:0]
+	return p
+}
+
+// add sizes r and returns its exact encoded length.
+func (p *encodePlan) add(r *Report) int {
+	f := framePlan{lo: -1}
+	nz := r.nz
+	if nz == nil {
+		f.lo = len(p.pairs)
+		p.pairs = appendNonzeros(p.pairs, r.Counters)
+		f.hi = len(p.pairs)
+		nz = p.pairs[f.lo:f.hi]
+	}
+	f.size = r.encodedLen(nz)
+	p.frames = append(p.frames, f)
+	return f.size
+}
+
+// pairsOf returns the nonzero pairs of r, the i-th report added.
+func (p *encodePlan) pairsOf(i int, r *Report) []CounterNZ {
+	if f := p.frames[i]; f.lo >= 0 {
+		return p.pairs[f.lo:f.hi]
+	}
+	return r.nz
+}
+
+// appendNonzeros appends the nonzero entries of a dense vector.
+func appendNonzeros(nz []CounterNZ, counters []uint64) []CounterNZ {
+	for i, c := range counters {
+		if c != 0 {
+			nz = append(nz, CounterNZ{Index: int32(i), Value: c})
+		}
+	}
+	return nz
+}
+
+// encodedLen returns the exact length of r's encoding, nz being its
+// nonzero pairs.
+func (r *Report) encodedLen(nz []CounterNZ) int {
+	n := len(magic) + wire.UvarintLen(r.RunID) +
+		wire.UvarintLen(uint64(len(r.Program))) + len(r.Program) + 1 +
+		wire.UvarintLen(uint64(len(r.TrapKind))) + len(r.TrapKind) +
+		wire.VarintLen(r.ExitCode) +
+		wire.UvarintLen(uint64(len(r.Counters))) + wire.UvarintLen(uint64(len(nz))) +
+		2*len(nz) + wire.UvarintLen(uint64(len(r.Trace)))
+	prev := int32(0)
+	for _, e := range nz {
+		// Two bytes a pair, already counted, unless a field needs more.
+		if d := uint64(e.Index - prev); d|e.Value >= 0x80 {
+			n += wire.UvarintLen(d) + wire.UvarintLen(e.Value) - 2
+		}
+		prev = e.Index
+	}
+	for _, id := range r.Trace {
+		n += wire.UvarintLen(uint64(id))
+	}
+	return n
+}
+
+// appendEncoded appends r's encoding, nz being its nonzero pairs. With
+// encodedLen(nz) bytes of spare capacity in buf it does not allocate.
+func (r *Report) appendEncoded(buf []byte, nz []CounterNZ) []byte {
+	e := wire.Enc{Buf: append(buf, magic...)}
+	e.Uvarint(r.RunID)
+	e.String(r.Program)
+	if r.Crashed {
+		e.Byte(1)
+	} else {
+		e.Byte(0)
+	}
+	e.String(r.TrapKind)
+	e.Varint(r.ExitCode)
+	e.Uvarint(uint64(len(r.Counters)))
+	e.Uvarint(uint64(len(nz)))
+	prev := int32(0)
+	for _, c := range nz {
+		e.Uvarint(uint64(c.Index - prev))
+		e.Uvarint(c.Value)
+		prev = c.Index
+	}
+	e.Uvarint(uint64(len(r.Trace)))
+	for _, id := range r.Trace {
+		e.Uvarint(uint64(id))
+	}
+	return e.Buf
+}
+
+// AppendEncoded appends the report's encoding to buf and returns the
+// extended slice, growing it at most once and by the exact amount.
+func (r *Report) AppendEncoded(buf []byte) []byte {
+	p := getPlan()
+	defer planPool.Put(p)
+	size := p.add(r)
+	return r.appendEncoded(slices.Grow(buf, size), p.pairsOf(0, r))
+}
 
 // Encode serializes the report.
-func (r *Report) Encode() []byte {
-	e := &encoder{buf: append([]byte(nil), magic...)}
-	e.uvarint(r.RunID)
-	e.bytes([]byte(r.Program))
-	if r.Crashed {
-		e.byteVal(1)
-	} else {
-		e.byteVal(0)
-	}
-	e.bytes([]byte(r.TrapKind))
-	e.varint(r.ExitCode)
-	e.uvarint(uint64(len(r.Counters)))
-	nonzero := 0
-	for _, c := range r.Counters {
-		if c != 0 {
-			nonzero++
-		}
-	}
-	e.uvarint(uint64(nonzero))
-	prev := 0
-	for i, c := range r.Counters {
-		if c == 0 {
-			continue
-		}
-		e.uvarint(uint64(i - prev))
-		e.uvarint(c)
-		prev = i
-	}
-	e.uvarint(uint64(len(r.Trace)))
-	for _, id := range r.Trace {
-		e.uvarint(uint64(id))
-	}
-	return e.buf
-}
-
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = ErrBadReport
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = ErrBadReport
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.err = ErrBadReport
-		return nil
-	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
-}
-
-func (d *decoder) byteVal() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.err = ErrBadReport
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
+func (r *Report) Encode() []byte { return r.AppendEncoded(nil) }
 
 // Decode parses a report encoded by Encode.
-func Decode(data []byte) (*Report, error) {
-	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic) {
-		return nil, ErrBadReport
+func Decode(data []byte) (*Report, error) { return DecodeShaped(data, 0) }
+
+// DecodeShaped is Decode for a receiver that knows its counter space:
+// with numCounters nonzero, a report claiming any other vector length is
+// rejected with ErrShape before its vector is allocated.
+func DecodeShaped(data []byte, numCounters int) (*Report, error) {
+	r := new(Report)
+	var mem slab
+	if err := mem.decode(r, data, numCounters, 1, 0); err != nil {
+		return nil, err
 	}
-	d := &decoder{buf: data, off: len(magic)}
-	r := &Report{wire: len(data)}
-	r.RunID = d.uvarint()
-	r.Program = string(d.bytes())
-	r.Crashed = d.byteVal() != 0
-	r.TrapKind = string(d.bytes())
-	r.ExitCode = d.varint()
-	n := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
+	return r, nil
+}
+
+// A slab hands decoded reports their memory. DecodeBatch carves the
+// Report structs, the dense vectors and the pair slices of a whole
+// request out of one chunk each instead of three small objects per
+// report; the zero slab, given no look-ahead, allocates exactly what one
+// report needs. Chunks are capped, so a single report retained from a
+// batch pins at most slabReports structs, slabCounters counters and
+// slabPairs pairs besides its own: about 1 MiB.
+type slab struct {
+	reports  []Report
+	counters []uint64
+	pairs    []CounterNZ
+	trap     string // the trap kind decoded last
+}
+
+const (
+	slabReports  = 256     // 36 KiB of Report structs
+	slabCounters = 1 << 16 // 512 KiB of counters
+	slabPairs    = 1 << 15 // 512 KiB of pairs
+)
+
+// report returns a zero Report; frames is how many the caller still
+// expects to ask for, this one included.
+func (m *slab) report(frames int) *Report {
+	if len(m.reports) == 0 {
+		m.reports = make([]Report, min(frames, slabReports))
 	}
-	if n > 1<<28 {
-		return nil, ErrBadReport
+	r := &m.reports[0]
+	m.reports = m.reports[1:]
+	return r
+}
+
+// vector returns a zeroed dense vector of length n, from a chunk that
+// holds up to frames such vectors.
+func (m *slab) vector(n, frames int) []uint64 {
+	if n == 0 {
+		return []uint64{}
 	}
-	r.Counters = make([]uint64, n)
-	nz := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
+	if n > len(m.counters) {
+		m.counters = make([]uint64, n*max(1, min(frames, slabCounters/n)))
 	}
-	if nz > n {
-		return nil, ErrBadReport
+	v := m.counters[:n:n]
+	m.counters = m.counters[n:]
+	return v
+}
+
+// nonzeros returns a pair slice of length n; ahead is how many more
+// pairs the caller may ask for later (0: none).
+func (m *slab) nonzeros(n, ahead int) []CounterNZ {
+	if n == 0 {
+		return []CounterNZ{}
 	}
+	if n > len(m.pairs) {
+		m.pairs = make([]CounterNZ, max(n, min(ahead, slabPairs)))
+	}
+	nz := m.pairs[:n:n]
+	m.pairs = m.pairs[n:]
+	return nz
+}
+
+// lastProgram remembers the program name decoded last. A collector and a
+// report file name one program in every report; reusing the string saves
+// each decoded report its own copy.
+var lastProgram atomic.Pointer[string]
+
+func internProgram(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if p := lastProgram.Load(); p != nil && *p == string(b) {
+		return *p
+	}
+	s := string(b)
+	lastProgram.Store(&s)
+	return s
+}
+
+// decode parses one CBR1 frame into the zero Report r, taking its
+// memory from m. want, when nonzero, is the only counter-vector length
+// accepted; frames and ahead size the slab chunks (see vector and
+// nonzeros). Every length a header claims is checked against the bytes
+// that remain before anything is allocated for it.
+func (m *slab) decode(r *Report, data []byte, want, frames, ahead int) error {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return ErrBadReport
+	}
+	d := wire.NewDec(data, len(magic))
+	r.wire = len(data)
+	r.RunID = d.Uvarint()
+	r.Program = internProgram(d.Bytes())
+	r.Crashed = d.Byte() != 0
+	if b := d.Bytes(); len(b) > 0 {
+		// The crashes of one batch mostly share a trap kind, and a string.
+		if string(b) != m.trap {
+			m.trap = string(b)
+		}
+		r.TrapKind = m.trap
+	}
+	r.ExitCode = d.Varint()
+	n := d.Uvarint()
+	nnz := d.Uvarint()
+	// A pair is at least two bytes.
+	if d.Bad() || n > MaxCounters || nnz > n || nnz > uint64(d.Remaining()/2) {
+		return ErrBadReport
+	}
+	if want != 0 && n != uint64(want) {
+		return fmt.Errorf("%w: %d, want %d", ErrShape, n, want)
+	}
+	counters := m.vector(int(n), frames)
 	// The wire format is already sparse (index-delta, value pairs), so the
 	// in-memory sparse form comes for free during decoding: downstream
 	// folds and analyses iterate it instead of rescanning the dense vector.
-	r.nz = make([]CounterNZ, 0, nz)
-	cacheOK := true
-	idx := 0
-	for i := uint64(0); i < nz; i++ {
-		delta := d.uvarint()
-		val := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
+	nz := m.nonzeros(int(nnz), ahead)
+	strict := true
+	idx, off := 0, d.Offset()
+	for i := range nz {
+		var delta, val uint64
+		if off+1 < len(data) && data[off]|data[off+1] < 0x80 {
+			// Both fields one byte long: nearly every pair.
+			delta, val = uint64(data[off]), uint64(data[off+1])
+			off += 2
+		} else {
+			d = wire.NewDec(data, off)
+			delta, val = d.Uvarint(), d.Uvarint()
+			if d.Bad() {
+				return ErrBadReport
+			}
+			off = d.Offset()
 		}
 		idx += int(delta)
-		if idx < 0 || idx >= len(r.Counters) {
-			return nil, ErrBadReport
+		if uint(idx) >= uint(len(counters)) {
+			return ErrBadReport
 		}
-		r.Counters[idx] = val
-		if val != 0 {
-			r.nz = append(r.nz, CounterNZ{Index: int32(idx), Value: val})
-		}
+		counters[idx] = val
+		nz[i] = CounterNZ{Index: int32(idx), Value: val}
 		// A duplicate index (delta 0 past the first pair) or an explicit
 		// zero never comes from Encode but was historically accepted;
 		// keep accepting it, but drop the cache rather than let it
 		// disagree with the dense vector.
 		if val == 0 || (i > 0 && delta == 0) {
-			cacheOK = false
+			strict = false
 		}
 	}
-	if !cacheOK {
-		r.nz = nil
+	d = wire.NewDec(data, off)
+	tn := d.Uvarint()
+	if d.Bad() || tn > maxTrace || tn > uint64(d.Remaining()) {
+		return ErrBadReport
+	}
+	r.Counters = counters
+	if strict {
+		r.nz = nz
+	} else {
 		r.lenient = true
 	}
-	tn := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if tn > 1<<20 {
-		return nil, ErrBadReport
-	}
-	for i := uint64(0); i < tn; i++ {
-		id := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
+	if tn > 0 {
+		r.Trace = make([]int, tn)
+		for i := range r.Trace {
+			r.Trace[i] = int(d.Uvarint())
 		}
-		r.Trace = append(r.Trace, int(id))
+		if d.Bad() {
+			return ErrBadReport
+		}
 	}
-	return r, nil
+	return nil
 }
 
 // ----------------------------------------------------------------------------
@@ -437,6 +582,13 @@ func (a *Aggregate) Fold(r *Report) error {
 	hit := a.NonzeroInSuccess
 	if r.Crashed {
 		hit = a.NonzeroInFailure
+	}
+	if r.nz != nil {
+		for _, e := range r.nz {
+			a.Totals[e.Index] += e.Value
+			hit[e.Index] = true
+		}
+		return nil
 	}
 	r.ForEachNonzero(func(i int, c uint64) {
 		a.Totals[i] += c

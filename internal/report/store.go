@@ -26,8 +26,9 @@ var ErrBadFrame = errors.New("report: bad frame")
 func WriteAll(w io.Writer, reports []*Report) error {
 	bw := bufio.NewWriter(w)
 	var lenBuf [binary.MaxVarintLen64]byte
+	var enc []byte
 	for _, r := range reports {
-		enc := r.Encode()
+		enc = r.AppendEncoded(enc[:0])
 		n := binary.PutUvarint(lenBuf[:], uint64(len(enc)))
 		if _, err := bw.Write(lenBuf[:n]); err != nil {
 			return err
