@@ -39,12 +39,12 @@ type fleetBenchDoc struct {
 		Speedup             float64 `json:"speedup"`
 	} `json:"ingest"`
 	// Engines holds one row per (workload, engine): the bytecode VMs
-	// (fused/threaded and switch-dispatch) against the tree walker on the
+	// (fused and switch-dispatch) against the tree walker on the
 	// Table-2 benchmarks, with per-run allocation counts so frame-pooling
 	// regressions are visible.
 	Engines []engineBenchRow `json:"engines"`
 	// FusedSpeedupVsSwitch is the geometric-mean steps/s advantage of
-	// the fused/threaded engine over the switch-dispatch engine across
+	// the fused engine over the switch-dispatch engine across
 	// the workloads above; gated at >= 1.2 both here and in CI.
 	FusedSpeedupVsSwitch float64 `json:"fused_speedup_vs_switch"`
 	// OpHistogram is the fused engine's per-opcode dispatch mix across
@@ -185,7 +185,7 @@ func fleet() error {
 }
 
 // engineRows races the bytecode VMs (switch-dispatch and the
-// fused/threaded engine) against the tree walker on every Table-2
+// fused engine) against the tree walker on every Table-2
 // workload (bounds scheme, sampled): steps/sec throughput, allocations
 // per run, and a bit-identical-reports check per run pair. It also
 // collects the fused engine's per-opcode dispatch histogram and gates

@@ -40,7 +40,7 @@ func main() {
 		workload = flag.String("workload", "", "built-in workload name")
 		scheme   = flag.String("scheme", "", "schemes: returns, scalar-pairs, branches, bounds, asserts (comma separated)")
 		sample   = flag.Bool("sample", false, "apply the sampling transformation")
-		engine   = flag.String("engine", "fused", "execution engine: fused (threaded bytecode VM), compiled (switch-dispatch bytecode VM), or tree (reference walker)")
+		engine   = flag.String("engine", "fused", "execution engine: fused (bytecode VM with the superinstruction fast path), compiled (bytecode VM, exact loop only), or tree (reference walker)")
 		density  = flag.Float64("density", 1.0/1000, "sampling density for -sample")
 		seed     = flag.Int64("seed", 1, "run seed (program rand and fuzzed environment)")
 		cdSeed   = flag.Int64("countdown-seed", 1, "countdown bank seed")

@@ -12,16 +12,17 @@ import (
 type Engine uint8
 
 const (
-	// EngineFused is the fused/threaded bytecode VM: the compiled
-	// instruction stream is peephole-fused into superinstructions
-	// (compare+branch, load+binop+store, constant-operand arithmetic, and
-	// the sampling fast path countdown-decrement+branch) and dispatched
-	// through a per-opcode handler table (direct threading) instead of an
-	// enum switch. It is the zero value, i.e. the default.
+	// EngineFused is the bytecode VM with its fast path on: wherever no
+	// fuel check can fail and no profiler or opcode counter watches, it
+	// runs the superinstruction stream (compare+branch, load+binop+store,
+	// constant-operand arithmetic, and the sampling fast path
+	// countdown-decrement+branch), and everywhere else the exact loop of
+	// EngineCompiled. It is the zero value, i.e. the default.
 	EngineFused Engine = iota
-	// EngineCompiled is the compile-once bytecode VM with plain enum
-	// switch dispatch and no fusion, retained as a differential oracle
-	// for the fused engine (and as the speedup baseline in cbi-bench).
+	// EngineCompiled is the bytecode VM with the fast path off: the exact
+	// loop alone, one switch dispatch and one fuel-checked step per
+	// unfused instruction. Retained as a differential oracle for the fast
+	// path (and as the speedup baseline in cbi-bench).
 	EngineCompiled
 	// EngineTree is the reference tree-walking interpreter, retained as
 	// the differential oracle for both bytecode engines.
@@ -99,27 +100,23 @@ const (
 	opBadTerm   // missing/malformed terminator; traps when reached
 
 	// Superinstructions. These appear only in the fused stream (fcode)
-	// built by fuseFunc and are executed only by the threaded engine's
-	// handler table — the switch engine never sees them, and grouping
-	// them after opBadTerm keeps its terminator classification
-	// (op >= opGoto) untouched. Each fused handler replicates the exact
-	// per-step fuel checks and profiler charges of the unfused sequence
-	// it replaces (see fused.go), so fusion changes dispatch counts only,
-	// never observable behaviour.
+	// built by fuseFunc, which only exec's fast loop runs — the exact
+	// loop never sees them, and grouping them after opBadTerm keeps its
+	// terminator classification (op >= opGoto) untouched. A
+	// superinstruction is a fuse rule (fuse.go) plus a fast arm
+	// (fused.go) whose step delta and state writes equal those of the
+	// unfused group it stands for.
 	opFAssignBin     // dst = binop(bop, leaf a, leaf b)
 	opFAssignBinImm  // dst = binop(bop, leaf a, imm) — rhs was an int const
 	opFAssignLoad    // dst = leaf(a)[leaf(b)]
-	opFAssignLoadBin // dst = binop(bop, load-node a, leaf b)
 	opFAssignCell    // leaf(b)[leaf(c)] = leaf(a)
 	opFAssignCellBin // leaf(b)[leaf(c)] = binop(bin-node a)
 	opFIfBin         // if binop(bop, leaf slot, leaf a) then pc=b else pc=c
 	opFIfLeaf        // if leaf(a) then pc = b else pc = c
 	opFRetLeaf       // return leaf(a)
 	opFDecGoto       // countdown -= slot; pc = b (the sampling fast path)
-	opFDecThreshold  // countdown -= slot; if countdown > imm then pc=b else pc=c
 	opFDecIf         // countdown -= imm; then opIf on node a
 	opFDecIfBin      // countdown -= imm; then opFIfBin
-	opFDecIfLeaf     // countdown -= imm; then opFIfLeaf
 
 	// Deeper assignment specializations for the RHS shapes the fleet
 	// histogram shows dominating the remaining generic assigns.
@@ -132,8 +129,8 @@ const (
 	// calls and checkpoints (see the cbi-bench fleet histogram); these
 	// fold those fixed pairs into single dispatches. Goto tails need no
 	// opcodes at all: any sequential instruction followed by its block's
-	// Goto carries the target in gtail and the dispatch loop runs the
-	// goto step inline (fallthrough threading).
+	// Goto carries the target in gtail and the fast loop runs the goto
+	// step inline (fallthrough threading).
 	opFDecExport       // countdown -= slot; global countdown = frame countdown
 	opFExportCall      // cd export; then opCall
 	opFImportThreshold // cd import; then opThreshold
@@ -141,8 +138,7 @@ const (
 	opFExportRetVoid   // cd export; return 0
 	opFExportRetLeaf   // cd export; return leaf(a)
 
-	// nOpcodes sizes the threaded engine's handler table and the
-	// per-opcode execution histogram.
+	// nOpcodes sizes the per-opcode execution histogram.
 	nOpcodes
 )
 
@@ -168,17 +164,14 @@ var opNames = [nOpcodes]string{
 	opFAssignBin:     "f_assign_bin",
 	opFAssignBinImm:  "f_assign_bin_imm",
 	opFAssignLoad:    "f_assign_load",
-	opFAssignLoadBin: "f_assign_load_bin",
 	opFAssignCell:    "f_assign_cell",
 	opFAssignCellBin: "f_assign_cell_bin",
 	opFIfBin:         "f_if_bin",
 	opFIfLeaf:        "f_if_leaf",
 	opFRetLeaf:       "f_ret_leaf",
 	opFDecGoto:       "f_dec_goto",
-	opFDecThreshold:  "f_dec_threshold",
 	opFDecIf:         "f_dec_if",
 	opFDecIfBin:      "f_dec_if_bin",
-	opFDecIfLeaf:     "f_dec_if_leaf",
 
 	opFAssignLeaf:     "f_assign_leaf",
 	opFAssignBin3:     "f_assign_bin3",
@@ -262,9 +255,10 @@ type enode struct {
 }
 
 // compiledFunc is one function lowered to a flat instruction stream.
-// code/entry is the unfused stream the switch engine runs; fcode/fentry
-// is the superinstruction stream the threaded engine runs (built from
-// code by fuseFunc, sharing the same node pool).
+// code/entry is the unfused stream the exact loop runs; fcode is the
+// superinstruction stream the fast loop runs (built from code by
+// fuseFunc, sharing the same node pool). fstart and fat are the one pc
+// map between them, along which exec hands over in either direction.
 type compiledFunc struct {
 	name           string
 	code           []cinstr
@@ -275,7 +269,8 @@ type compiledFunc struct {
 	localCountdown bool
 	entry          int // pc of the entry block
 	fcode          []cinstr
-	fentry         int
+	fstart         []int32 // fcode index → pc in code where its group starts; one entry past the end
+	fat            []int32 // pc in code → fcode index of the group starting there, −1 inside a group
 }
 
 // Compiled is a program lowered once to bytecode. The bytecode is
@@ -371,12 +366,10 @@ func (vm *VM) cdSetC(fr *cframe, v int64) {
 // ----------------------------------------------------------------------------
 // Execution
 
-// callC runs a compiled function and returns its value. Both bytecode
-// engines mirror vm.call step for step: the same fuel charges in the
-// same order, the same profiler synchronization points, and the same
-// trap positions. The frame prologue is shared; the body dispatches to
-// the enum-switch loop (EngineCompiled) or the fused/threaded loop
-// (EngineFused, see fused.go).
+// callC runs a compiled function and returns its value. It mirrors
+// vm.call step for step: the same fuel charges in the same order, the
+// same profiler synchronization points, and the same trap positions. The
+// body is exec (fused.go) on either bytecode engine.
 func (vm *VM) callC(fn *compiledFunc, args []Value) (Value, error) {
 	// The epilogue (profiler exit, depth pop) runs explicitly on every
 	// return path rather than via defer: nothing in the engines panics
@@ -413,130 +406,12 @@ func (vm *VM) callC(fn *compiledFunc, args []Value) (Value, error) {
 	}
 	fr.cd = 0
 
-	var ret Value
-	var err error
-	if vm.engine == EngineCompiled {
-		ret, err = vm.execSwitch(fn, fr)
-	} else {
-		ret, err = vm.execFused(fn, fr)
-	}
+	ret, err := vm.exec(fn, fr)
 	if vm.prof != nil {
 		vm.prof.exit(vm.steps)
 	}
 	vm.depth--
 	return ret, err
-}
-
-// execSwitch is the unfused enum-switch dispatch loop.
-func (vm *VM) execSwitch(fn *compiledFunc, fr *cframe) (Value, error) {
-	code := fn.code
-	nodes := fn.nodes
-	pc := fn.entry
-	for {
-		in := &code[pc]
-		if vm.ops != nil {
-			vm.ops[in.op]++
-		}
-		if in.op >= opGoto {
-			// Terminator: one fuel-checked step, then dispatch. On fuel
-			// exhaustion the charge is baseline, as in the tree walker.
-			if err := vm.step(minic.Pos{}); err != nil {
-				if vm.prof != nil {
-					vm.prof.take(PathBaseline, vm.steps)
-				}
-				return Value{}, err
-			}
-			thresh := false
-			switch in.op {
-			case opGoto:
-				pc = int(in.b)
-			case opIf:
-				v, err := vm.evalC(fr, nodes, in.a)
-				if err != nil {
-					// No take: the deferred profiler exit claims these
-					// steps as baseline, exactly like the tree walker.
-					return Value{}, err
-				}
-				if v.Truthy() {
-					pc = int(in.b)
-				} else {
-					pc = int(in.c)
-				}
-			case opRetVoid:
-				return IntVal(0), nil
-			case opRet:
-				return vm.evalC(fr, nodes, in.a)
-			case opThreshold:
-				thresh = true
-				if vm.cdGetC(fr) > int64(in.slot) {
-					pc = int(in.b)
-				} else {
-					pc = int(in.c)
-				}
-			default:
-				return Value{}, &Trap{Kind: TrapBadProgram, Msg: "missing terminator"}
-			}
-			if vm.prof != nil {
-				if thresh {
-					vm.prof.take(PathThreshold, vm.steps)
-				} else {
-					vm.prof.take(PathBaseline, vm.steps)
-				}
-			}
-			continue
-		}
-
-		// Instruction: one fuel-checked step, the op body, then the
-		// profiler charge — which, as in the tree walker, runs even when
-		// the body (or the fuel check itself) produced the error.
-		err := vm.step(minic.Pos{})
-		if err == nil {
-			switch in.op {
-			case opAssignLocal:
-				var v Value
-				if v, err = vm.evalC(fr, nodes, in.a); err == nil {
-					fr.locals[in.slot] = v
-				}
-			case opAssignGlobal:
-				var v Value
-				if v, err = vm.evalC(fr, nodes, in.a); err == nil {
-					vm.globals[in.slot] = v
-				}
-			case opAssignCell:
-				err = vm.assignCellC(fr, nodes, in)
-			case opCall:
-				err = vm.callUserC(fr, nodes, in)
-			case opCallBuiltin:
-				err = vm.callBuiltinC(fr, nodes, in)
-			case opSite:
-				err = vm.fireProbeC(fr, nodes, in.site, in.args)
-			case opGuardedSite:
-				cd := vm.cdGetC(fr) - 1
-				if cd == 0 {
-					if err = vm.fireProbeC(fr, nodes, in.site, in.args); err != nil {
-						break // countdown write skipped, as in the tree walker
-					}
-					cd = vm.source.Next()
-				}
-				vm.cdSetC(fr, cd)
-			case opCountdownDec:
-				vm.cdSetC(fr, vm.cdGetC(fr)-int64(in.slot))
-			case opCDImport:
-				fr.cd = vm.cd
-			case opCDExport:
-				vm.cd = fr.cd
-			default:
-				err = &Trap{Kind: TrapBadProgram, Msg: in.name}
-			}
-		}
-		if vm.prof != nil {
-			vm.prof.take(opKinds[in.op], vm.steps)
-		}
-		if err != nil {
-			return Value{}, err
-		}
-		pc++
-	}
 }
 
 // assignCellC stores eval(X) into Ptr[Idx], evaluating X, Ptr, Idx in
@@ -554,14 +429,7 @@ func (vm *VM) assignCellC(fr *cframe, nodes []enode, in *cinstr) error {
 	if err != nil {
 		return err
 	}
-	// Valid stores resolve in place, mirroring evalC's load fast path.
-	if ptr.Kind == KPtr && idx.Kind == KInt && !ptr.Obj.Freed {
-		if off := ptr.Off + int(idx.I); off >= 0 && off < len(ptr.Obj.Data) {
-			ptr.Obj.Data[off] = v
-			return nil
-		}
-	}
-	cell, err := resolveCell(ptr, idx, in.pos)
+	cell, err := cellAt(&ptr, &idx, in.pos)
 	if err != nil {
 		return err
 	}
@@ -601,11 +469,7 @@ func (vm *VM) callUserC(fr *cframe, nodes []enode, in *cinstr) error {
 		return err
 	}
 	if in.slot >= 0 {
-		if in.dstGlobal {
-			vm.globals[in.slot] = ret
-		} else {
-			fr.locals[in.slot] = ret
-		}
+		vm.setDst(fr, in, &ret)
 	}
 	return nil
 }
@@ -641,11 +505,7 @@ func (vm *VM) callBuiltinC(fr *cframe, nodes []enode, in *cinstr) error {
 		return err
 	}
 	if in.slot >= 0 {
-		if in.dstGlobal {
-			vm.globals[in.slot] = ret
-		} else {
-			fr.locals[in.slot] = ret
-		}
+		vm.setDst(fr, in, &ret)
 	}
 	return nil
 }

@@ -50,6 +50,7 @@ type funcCompiler struct {
 	c     *Compiled
 	nodes []enode
 	pcOf  map[*cfg.Block]int
+	bad   int32 // pc of the trailing opBadTerm block
 }
 
 func (c *Compiled) compileFunc(fn *cfg.Func, out *compiledFunc) {
@@ -62,23 +63,20 @@ func (c *Compiled) compileFunc(fn *cfg.Func, out *compiledFunc) {
 	for i, p := range fn.Params {
 		out.paramSlots[i] = int32(p.Slot)
 	}
-	if fn.Entry == nil {
-		out.code = []cinstr{{op: opBadTerm}}
-		out.entry = 0
-		out.fcode = out.code
-		out.fentry = 0
-		return
-	}
 
 	// Lay out every block reachable from the entry (the tree walker
 	// follows block pointers, so the Blocks list is not authoritative),
 	// in discovery order. Each block contributes its instructions plus
 	// exactly one terminator op, preserving the walker's one-step-per-
-	// terminator charge even for fall-through gotos.
+	// terminator charge even for fall-through gotos. A last block holding
+	// only opBadTerm is where a missing entry and jump targets the walk
+	// did not find (see pc) land: a trap, in both streams.
 	fc := &funcCompiler{c: c, pcOf: make(map[*cfg.Block]int)}
-	var blocks []*cfg.Block
+	var blocks, queue []*cfg.Block
 	seen := map[*cfg.Block]bool{fn.Entry: true}
-	queue := []*cfg.Block{fn.Entry}
+	if fn.Entry != nil {
+		queue = append(queue, fn.Entry)
+	}
 	for len(queue) > 0 {
 		b := queue[0]
 		queue = queue[1:]
@@ -95,23 +93,24 @@ func (c *Compiled) compileFunc(fn *cfg.Func, out *compiledFunc) {
 		fc.pcOf[b] = pc
 		pc += len(b.Instrs) + 1
 	}
-	code := make([]cinstr, 0, pc)
+	fc.bad = int32(pc)
+	code := make([]cinstr, 0, pc+1)
 	for _, b := range blocks {
 		for _, in := range b.Instrs {
 			code = append(code, fc.instr(in))
 		}
 		code = append(code, fc.term(b.Term))
 	}
-	out.code = code
+	out.code = append(code, cinstr{op: opBadTerm})
 	out.nodes = fc.nodes
-	out.entry = fc.pcOf[fn.Entry]
+	out.entry = int(fc.pc(fn.Entry))
 
-	// Second pass: peephole-fuse the stream for the threaded engine.
-	starts := make([]int, len(blocks))
-	for i, b := range blocks {
-		starts[i] = fc.pcOf[b]
+	// Second pass: peephole-fuse the stream for the fast loop.
+	starts := make([]int, 0, len(blocks)+1)
+	for _, b := range blocks {
+		starts = append(starts, fc.pcOf[b])
 	}
-	fuseFunc(out, starts)
+	fuseFunc(out, append(starts, int(fc.bad)))
 
 	// With the streams final, prove (or refuse) the prologue zero-copy
 	// elision; see definite.go.
@@ -201,9 +200,10 @@ func (fc *funcCompiler) term(t cfg.Term) cinstr {
 func (fc *funcCompiler) pc(b *cfg.Block) int32 {
 	pc, ok := fc.pcOf[b]
 	if !ok {
-		// Unreachable: every terminator target was discovered by the
-		// layout walk. Kept as a defensive trap rather than a panic.
-		return -1
+		// Unreachable but for a missing entry: every terminator target was
+		// discovered by the layout walk. Kept as a defensive trap rather
+		// than a panic.
+		return fc.bad
 	}
 	return int32(pc)
 }

@@ -11,10 +11,10 @@ import (
 	"cbi/internal/progen"
 )
 
-// The bytecode engines (switch-dispatch and fused/threaded) must be
-// bit-identical to the tree walker: same counters, outcome, exit code,
-// output, trap kind/position/message, step totals, sample counts, and
-// flight-recorder traces. These tests run the same program through all
+// The bytecode engines (the exact loop alone, and with the fused fast
+// path) must be bit-identical to the tree walker: same counters, outcome,
+// exit code, output, trap kind/position/message, step totals, sample
+// counts, and flight-recorder traces. These tests run the same program through all
 // three engines and require the full Result to match pairwise.
 
 var allSchemes = instrument.SchemeSet{
@@ -130,6 +130,29 @@ func diffAllVariants(t testing.TB, name, src string, seed int64) {
 		// guarantee must hold on the compiled engine too.
 		conf.Profile = true
 		diffEngines(t, name+"/"+variant+"/profiled", p, conf)
+
+		// And under resource limits, the net under every boundary where
+		// the fast loop hands over to the exact one: fuel around the
+		// 16-step slack of the fast-path guard, around the end of the run
+		// and in its middle, and call depths that overflow early.
+		full := conf
+		full.Engine = EngineTree
+		steps := int64(Run(p, full).Steps)
+		for _, fuel := range []int64{15, 16, 17, 31, steps / 2, steps - 16, steps - 15, steps - 1, steps, steps + 1} {
+			if fuel <= 0 {
+				continue // Fuel 0 is the default, not a limit
+			}
+			for _, prof := range []bool{false, true} {
+				lim := conf
+				lim.Fuel, lim.Profile = uint64(fuel), prof
+				diffEngines(t, fmt.Sprintf("%s/%s/fuel%d/profile=%v", name, variant, fuel, prof), p, lim)
+			}
+		}
+		for _, depth := range []int{1, 2, 3, 5} {
+			lim := conf
+			lim.Profile, lim.MaxDepth = false, depth
+			diffEngines(t, fmt.Sprintf("%s/%s/depth%d", name, variant, depth), p, lim)
+		}
 	}
 }
 

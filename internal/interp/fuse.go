@@ -2,51 +2,61 @@ package interp
 
 // The peephole fusion pass. It rewrites a function's freshly compiled
 // instruction stream (compiledFunc.code) into the superinstruction
-// stream the threaded engine executes (compiledFunc.fcode), fusing hot
+// stream exec's fast loop runs (compiledFunc.fcode), fusing hot
 // pairs/triples into single dispatches:
 //
 //   - assignments whose RHS is a small fixed shape — binop of two
-//     leaves, binop with an int-constant operand, a leaf-indexed load,
-//     or load+binop — become one op instead of an instruction plus a
-//     recursive expression walk;
+//     leaves, binop with an int-constant operand, a leaf-indexed load —
+//     become one op instead of an instruction plus a recursive
+//     expression walk;
 //   - all-leaf cell stores become one op;
 //   - conditional branches on a leaf or a leaf-leaf comparison fuse the
 //     condition into the branch;
 //   - returns of a leaf fuse the operand into the return;
 //   - and, critically, the sampling fast path: the coalesced
 //     CountdownDec that instrumentation leaves immediately before a
-//     block's terminator fuses with a Goto or Threshold into one op, so
-//     the paper's "decrement and fall through" costs one dispatch.
+//     block's terminator fuses with a Goto or If into one op, so the
+//     paper's "decrement and fall through" costs one dispatch.
 //
 // Fusion is safe against jump targets by construction: the compiler
 // lays blocks out contiguously and every jump target is a block entry
-// (term() only emits block-entry pcs), so a fused pair can never be
-// entered mid-pair. The pass fuses strictly within one block and
-// remaps block-entry pcs into the fused stream afterwards.
+// (term() only emits block-entry pcs), so a fused group can never be
+// entered mid-group. The pass fuses strictly within one block.
 //
-// Fusion is invisible to every observable channel — step totals (also
-// at mid-superinstruction trap points), trap kinds/positions, profiler
-// per-path-kind charges — because each fused handler replays the exact
-// fuel checks and profiler charges of the unfused sequence (fused.go).
+// Beside fcode it records the pc map between the two streams (fstart,
+// fat). That map is all the exactness fusion needs: the fused stream is
+// run only where nothing but an op's step delta and state writes can be
+// observed, and wherever more can be — a fuel check that may fail, a
+// profiler, an opcode counter — exec continues in the unfused stream at
+// the pc the map names (fused.go).
 
 // isLeaf reports whether a node is a non-recursing operand (constant or
 // variable read): leaves never trap and never recurse in evalC.
 func isLeaf(n *enode) bool { return n.kind <= eGlobal }
 
-// fuseFunc builds out.fcode/out.fentry from out.code. starts lists
-// block-entry pcs in layout order; blocks are contiguous and each ends
-// with exactly one terminator.
+// fuseFunc builds out.fcode, out.fstart and out.fat from out.code. starts
+// lists block-entry pcs in layout order; blocks are contiguous and each
+// ends with exactly one terminator.
 func fuseFunc(out *compiledFunc, starts []int) {
 	nodes := out.nodes
-	remap := make(map[int32]int32, len(starts))
 	fcode := make([]cinstr, 0, len(out.code))
+	fstart := make([]int32, 0, len(out.code)+1)
+	fat := make([]int32, len(out.code))
+	for i := range fat {
+		fat[i] = -1
+	}
+	// emit appends a finished group that starts at pc at of out.code.
+	emit := func(in cinstr, at int) {
+		fat[at] = int32(len(fcode))
+		fstart = append(fstart, int32(at))
+		fcode = append(fcode, in)
+	}
 	var elems []cinstr
 	for bi, s := range starts {
 		end := len(out.code)
 		if bi+1 < len(starts) {
 			end = starts[bi+1]
 		}
-		remap[int32(s)] = int32(len(fcode))
 		// Specialize every element of the block (the terminator last),
 		// then pair-fuse adjacent elements left to right, re-offering the
 		// fused result to the next element so chains collapse: dec+export
@@ -59,45 +69,35 @@ func fuseFunc(out *compiledFunc, starts []int) {
 			elems = append(elems, specializeInstr(&out.code[i], nodes))
 		}
 		elems = append(elems, specializeTerm(&out.code[end-1], nodes))
-		pend := elems[0]
+		pend, at := elems[0], s
 		for k := 1; k < len(elems); k++ {
 			if f, ok := fusePair(&pend, &elems[k]); ok {
 				pend = f
 				continue
 			}
-			fcode = append(fcode, pend)
-			pend = elems[k]
+			emit(pend, at)
+			pend, at = elems[k], s+k
 		}
-		fcode = append(fcode, pend)
+		emit(pend, at)
 	}
-	// Backstop for jump targets that are not block entries: unreachable
-	// for well-formed code, but fc.pc's defensive -1 lands on a trap
-	// here instead of panicking the exec loop.
-	bad := int32(len(fcode))
-	fcode = append(fcode, cinstr{op: opBadTerm})
-	mapPC := func(pc int32) int32 {
-		if v, ok := remap[pc]; ok {
-			return v
-		}
-		return bad
-	}
+	// Jump targets are block entries, and every block entry starts a group.
 	for i := range fcode {
 		in := &fcode[i]
 		if in.gtail != 0 {
-			in.gtail = mapPC(in.gtail-1) + 1
+			in.gtail = fat[in.gtail-1] + 1
 		}
 		switch in.op {
 		case opGoto, opFDecGoto:
-			in.b = mapPC(in.b)
+			in.b = fat[in.b]
 		case opIf, opThreshold, opFIfBin, opFIfLeaf,
-			opFDecThreshold, opFDecIf, opFDecIfBin, opFDecIfLeaf,
-			opFImportThreshold:
-			in.b = mapPC(in.b)
-			in.c = mapPC(in.c)
+			opFDecIf, opFDecIfBin, opFImportThreshold:
+			in.b = fat[in.b]
+			in.c = fat[in.c]
 		}
 	}
 	out.fcode = fcode
-	out.fentry = int(mapPC(int32(out.entry)))
+	out.fstart = append(fstart, int32(len(out.code)))
+	out.fat = fat
 }
 
 // specializeInstr rewrites one non-terminator instruction into its
@@ -119,10 +119,6 @@ func specializeInstr(in *cinstr, nodes []enode) cinstr {
 						bop: n.op, a: n.a, imm: r.val.I, pos: n.pos}
 				}
 				return cinstr{op: opFAssignBin, dstGlobal: g, slot: in.slot,
-					bop: n.op, a: n.a, b: n.b, pos: n.pos}
-			}
-			if l.kind == eLoad && isLeaf(&nodes[l.a]) && isLeaf(&nodes[l.b]) && isLeaf(r) {
-				return cinstr{op: opFAssignLoadBin, dstGlobal: g, slot: in.slot,
 					bop: n.op, a: n.a, b: n.b, pos: n.pos}
 			}
 			if l.kind == eBin && isLeaf(&nodes[l.a]) && isLeaf(&nodes[l.b]) && isLeaf(r) {
@@ -188,9 +184,9 @@ func specializeTerm(in *cinstr, nodes []enode) cinstr {
 // one superinstruction. Two families:
 //
 //   - the sampling fast path: instrumentation coalesces fast-path
-//     decrements to a single CountdownDec at block end, so dec+Goto,
-//     dec+If, and dec+Threshold are exactly the paper's "decrement, skip
-//     the probe, fall through" sequence — one dispatch;
+//     decrements to a single CountdownDec at block end, so dec+Goto and
+//     dec+If are exactly the paper's "decrement, skip the probe, fall
+//     through" sequence — one dispatch;
 //   - the countdown plumbing around calls and checkpoints: import at
 //     function/region entry pairs with the entry checkpoint, export
 //     pairs with the call or return it precedes, and dec pairs with the
@@ -198,30 +194,23 @@ func specializeTerm(in *cinstr, nodes []enode) cinstr {
 //     dominating instrumented dispatch;
 //   - and goto tails: any sequential instruction (fused or not)
 //     followed by its block's Goto absorbs the jump into gtail, so the
-//     dispatch loop runs the goto step inline after the instruction
-//     instead of dispatching it.
+//     fast loop runs the goto step inline after the instruction instead
+//     of dispatching it.
 func fusePair(x, y *cinstr) (cinstr, bool) {
 	switch x.op {
 	case opCountdownDec:
 		switch y.op {
 		case opGoto:
 			return cinstr{op: opFDecGoto, slot: x.slot, b: y.b}, true
-		case opThreshold:
-			return cinstr{op: opFDecThreshold, slot: x.slot,
-				imm: int64(y.slot), b: y.b, c: y.c}, true
 		case opCDExport:
 			return cinstr{op: opFDecExport, slot: x.slot}, true
-		case opIf, opFIfBin, opFIfLeaf:
+		case opIf, opFIfBin:
 			// The If variants keep their operand fields; the decrement
 			// rides in imm (slot is taken by opFIfBin's left operand).
 			f := *y
-			switch y.op {
-			case opIf:
-				f.op = opFDecIf
-			case opFIfBin:
+			f.op = opFDecIf
+			if y.op == opFIfBin {
 				f.op = opFDecIfBin
-			case opFIfLeaf:
-				f.op = opFDecIfLeaf
 			}
 			f.imm = int64(x.slot)
 			return f, true
@@ -252,8 +241,8 @@ func fusePair(x, y *cinstr) (cinstr, bool) {
 			return f, true
 		}
 	}
-	// Goto-tail fusion: x must be a sequential instruction (its handler
-	// returns pc+1 on success) without a tail already fused in.
+	// Goto-tail fusion: x must be a sequential instruction (its fast arm
+	// falls through to the next one) without a tail already fused in.
 	if y.op == opGoto && x.gtail == 0 && isSeqOp(x.op) {
 		f := *x
 		f.gtail = y.b + 1
@@ -263,15 +252,15 @@ func fusePair(x, y *cinstr) (cinstr, bool) {
 }
 
 // isSeqOp reports whether op is a sequential instruction — one whose
-// handler falls through to pc+1 on success — and may therefore carry a
-// fused goto tail. Terminators and the dec/import+branch fusions return
-// jump targets and must not.
+// fast arm falls through to the next instruction — and may therefore
+// carry a fused goto tail. Terminators and the dec/import+branch fusions
+// jump or return and must not.
 func isSeqOp(op copcode) bool {
 	if op < opGoto {
 		return true
 	}
 	switch op {
-	case opFAssignBin, opFAssignBinImm, opFAssignLoad, opFAssignLoadBin,
+	case opFAssignBin, opFAssignBinImm, opFAssignLoad,
 		opFAssignCell, opFAssignCellBin, opFAssignLeaf, opFAssignBin3,
 		opFAssignLoadLoad, opFDecExport, opFExportCall:
 		return true

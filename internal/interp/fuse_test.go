@@ -63,7 +63,7 @@ int main() {
 		for variant, p := range buildVariants(t, src) {
 			code := Compile(p)
 			for _, fn := range code.funcs {
-				entries := map[int32]bool{int32(fn.fentry): true}
+				entries := map[int32]bool{fn.fat[fn.entry]: true}
 				// Recover entries from the branch targets themselves,
 				// then verify each is in range and starts an instruction.
 				for i := range fn.fcode {
@@ -75,8 +75,7 @@ int main() {
 					case opGoto, opFDecGoto:
 						entries[in.b] = true
 					case opIf, opThreshold, opFIfBin, opFIfLeaf,
-						opFDecThreshold, opFDecIf, opFDecIfBin, opFDecIfLeaf,
-						opFImportThreshold:
+						opFDecIf, opFDecIfBin, opFImportThreshold:
 						entries[in.b] = true
 						entries[in.c] = true
 					}

@@ -5,586 +5,441 @@ import (
 	"cbi/internal/minic"
 )
 
-// The fused/threaded execution engine (EngineFused). Dispatch is direct
-// threaded: one indexed call through a per-opcode handler table per
-// instruction, over the superinstruction stream built by fuseFunc.
+// exec is the one executor of both bytecode engines, in two modes.
 //
-// The engine preserves the observable-equivalence contract of DESIGN
-// §9/§15 against both oracles: every handler charges the exact fuel
-// steps, in the exact order and with the exact profiler path kinds, of
-// the unfused sequence it replaces. Superinstructions batch only the
-// expression-node charges that cannot be observed individually (leaves
-// never trap and expression charges are not fuel-checked), and split
-// the batch at every point where a trap can surface, so the step total
-// at any stop point — a mid-superinstruction trap included — is
-// bit-identical to the switch engine and the tree walker.
-
-// fhandler executes one fused instruction at pc and returns the next
-// pc, or retPC when the function returns (value left in vm.fret).
-type fhandler func(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error)
-
-// retPC is the handler sentinel for "function returned".
-const retPC = -1
-
-// fhandlers is the direct-threading dispatch table. Filled in init to
-// break the package-level reference cycle handlers → callC → fhandlers.
-// Sized 256 so indexing by the uint8 opcode needs no bounds check in
-// the dispatch loop; slots past nOpcodes are unreachable.
-var fhandlers [256]fhandler
-
-func init() {
-	table := [nOpcodes]fhandler{
-		opAssignLocal:    fhAssign,
-		opAssignGlobal:   fhAssign,
-		opAssignCell:     fhAssignCell,
-		opCall:           fhCall,
-		opCallBuiltin:    fhCallBuiltin,
-		opSite:           fhSite,
-		opGuardedSite:    fhGuardedSite,
-		opCountdownDec:   fhCountdownDec,
-		opCDImport:       fhCDImport,
-		opCDExport:       fhCDExport,
-		opBad:            fhBad,
-		opGoto:           fhGoto,
-		opIf:             fhIf,
-		opRet:            fhRet,
-		opRetVoid:        fhRetVoid,
-		opThreshold:      fhThreshold,
-		opBadTerm:        fhBadTerm,
-		opFAssignBin:     fhFAssignBin,
-		opFAssignBinImm:  fhFAssignBinImm,
-		opFAssignLoad:    fhFAssignLoad,
-		opFAssignLoadBin: fhFAssignLoadBin,
-		opFAssignCell:    fhFAssignCell,
-		opFAssignCellBin: fhFAssignCellBin,
-		opFIfBin:         fhFIfBin,
-		opFIfLeaf:        fhFIfLeaf,
-		opFRetLeaf:       fhFRetLeaf,
-		opFDecGoto:       fhFDecGoto,
-		opFDecThreshold:  fhFDecThreshold,
-		opFDecIf:         fhFDecIf,
-		opFDecIfBin:      fhFDecIfBin,
-		opFDecIfLeaf:     fhFDecIfLeaf,
-
-		opFAssignLeaf:     fhFAssignLeaf,
-		opFAssignBin3:     fhFAssignBin3,
-		opFAssignLoadLoad: fhFAssignLoadLoad,
-
-		opFDecExport:       fhFDecExport,
-		opFExportCall:      fhFExportCall,
-		opFImportThreshold: fhFImportThreshold,
-		opFExportRet:       fhFExportRet,
-		opFExportRetVoid:   fhFExportRetVoid,
-		opFExportRetLeaf:   fhFExportRetLeaf,
-	}
-	copy(fhandlers[:], table[:])
-}
-
-// execFused is the threaded dispatch loop. The stream and node pool are
-// cached at the top of the frame; handlers receive both so the hot path
-// never reloads them through fn.
-func (vm *VM) execFused(fn *compiledFunc, fr *cframe) (Value, error) {
-	if vm.ops != nil {
-		return vm.execFusedCounting(fn, fr)
-	}
-	code := fn.fcode
-	nodes := fn.nodes
-	pc := fn.fentry
-	// fastLim gates the in-loop fast-path bodies below: `vm.steps <
-	// fastLim` holds exactly when no profiler is attached and at least 16
-	// more fuel-checked steps cannot exhaust fuel — and no fast arm
-	// charges more than 15 steps before its optional gtail step. Within
-	// the guard an op's only observable effects are its steps delta and
-	// its state writes, which the slim bodies share with the exact
-	// handlers, so the shortcut is unobservable. The handlers remain the
-	// reference — and the path every op takes under a profiler, near the
-	// fuel limit, on a cold opcode, or on an operand shape the fast body
-	// doesn't cover.
+// The exact loop runs the unfused stream (fn.code): one switch dispatch
+// per instruction or terminator, each with its fuel-checked step and its
+// profiler charge, mirroring the tree walker charge for charge. It is
+// the only place the bytecode form says when fuel runs out and which
+// path kind a step belongs to, and it is all of EngineCompiled.
+//
+// The fast loop runs the superinstruction stream (fn.fcode) and is to
+// the exact loop what the paper's fast clone is to its slow one (§2): a
+// copy stripped of the checks, entered only where a threshold proves
+// them idle. The threshold is on fuel instead of on the countdown —
+// vm.steps < fastLim — and is never met with a profiler or an opcode
+// counter attached. The equivalence rests on two obligations (DESIGN
+// §9.1):
+//
+//  1. Inside the guard, a fast arm's step delta and state writes equal
+//     those of the unfused group it stands for, and a trap it returns
+//     carries that group's step total at the trap point. Nothing else
+//     is observable there: nobody watches path kinds or dispatch counts,
+//     and no fuel check can fail — the guard leaves 16 steps of slack, an
+//     arm of bounded work charges at most 8, and an arm that calls or
+//     walks an expression is followed by a re-test of the guard before
+//     the next fuel-checked step.
+//  2. The loops hand over only where both streams describe the same
+//     machine state: at the start of a fused group (fstart/fat), or at
+//     the Goto that ends one whose body is complete. Block entries start
+//     groups, so a jump never lands inside one.
+//
+// So the fast loop has one exit besides return and trap: stop before
+// charging anything for a group and let the exact loop run it. Both
+// obligations are checked differentially against the tree walker
+// (engine_test.go, fuse_test.go), not proven per arm.
+func (vm *VM) exec(fn *compiledFunc, fr *cframe) (Value, error) {
+	code, nodes := fn.code, fn.nodes
+	pc := fn.entry
 	var fastLim uint64
-	if vm.prof == nil && vm.fuel >= 16 {
+	if vm.engine == EngineFused && vm.prof == nil && vm.ops == nil && vm.fuel >= 16 {
 		fastLim = vm.fuel - 15
 	}
 	for {
-		in := &code[pc]
-		if vm.steps < fastLim {
-			// Fast arms for the hottest ops per the fleet dispatch
-			// histogram. Arms that complete `continue` directly; arms
-			// whose operand shape falls outside the slim body fall
-			// through to the exact dispatch below. Ops whose charges are
-			// bounded (≤ 15 before the tail) may take the gtail goto step
-			// inline; ops that run unbounded expression or call work
-			// (assign, call, ret, if) must re-check the guard first, since
-			// their un-fuel-checked expression charges may have crossed it.
-			switch in.op {
-			case opFIfBin:
-				l, r := vm.leafC(fr, &nodes[in.slot]), vm.leafC(fr, &nodes[in.a])
-				if l.Kind == KInt && r.Kind == KInt {
-					if t, ok := binIntCond(cfg.BinOp(in.bop), l.I, r.I); ok {
-						vm.steps += 4
-						if pc = int(in.c); t {
-							pc = int(in.b)
-						}
-						continue
+		if vm.steps < fastLim && fn.fat[pc] >= 0 {
+			fcode := fn.fcode
+			f := int(fn.fat[pc])
+		fast:
+			for vm.steps < fastLim {
+				in := &fcode[f]
+				// Jumps and returns leave the switch by continue or return;
+				// an arm that falls out of it completed a sequential
+				// instruction, and the code below the switch advances f.
+				switch in.op {
+				case opFDecGoto:
+					vm.steps++
+					vm.cdSetC(fr, vm.cdGetC(fr)-int64(in.slot))
+					fallthrough
+				case opGoto:
+					vm.steps++
+					f = int(in.b)
+					continue
+				case opFImportThreshold:
+					vm.steps++
+					fr.cd = vm.cd
+					fallthrough
+				case opThreshold:
+					vm.steps++
+					if f = int(in.c); vm.cdGetC(fr) > int64(in.slot) {
+						f = int(in.b)
 					}
-				}
-			case opAssignLocal, opAssignGlobal:
-				vm.steps++
-				v, err := vm.evalC(fr, nodes, in.a)
-				if err != nil {
-					return Value{}, err
-				}
-				if in.op == opAssignGlobal {
-					vm.globals[in.slot] = v
-				} else {
-					fr.locals[in.slot] = v
-				}
-				if in.gtail == 0 {
-					pc++
 					continue
-				}
-				if vm.steps < fastLim {
+				case opFDecIf:
 					vm.steps++
-					pc = int(in.gtail - 1)
-					continue
-				}
-				next, err := gotoHalf(vm, in.gtail-1)
-				if err != nil {
-					return Value{}, err
-				}
-				pc = next
-				continue
-			case opFImportThreshold:
-				vm.steps += 2
-				fr.cd = vm.cd
-				if pc = int(in.c); vm.cdGetC(fr) > int64(in.slot) {
-					pc = int(in.b)
-				}
-				continue
-			case opThreshold:
-				vm.steps++
-				if pc = int(in.c); vm.cdGetC(fr) > int64(in.slot) {
-					pc = int(in.b)
-				}
-				continue
-			case opFAssignCell:
-				vm.steps += 4
-				if err := storeCell(vm.leafC(fr, &nodes[in.b]), vm.leafC(fr, &nodes[in.c]),
-					vm.leafC(fr, &nodes[in.a]), in.pos); err != nil {
-					return Value{}, err
-				}
-				if in.gtail != 0 {
+					vm.cdSetC(fr, vm.cdGetC(fr)-in.imm)
+					fallthrough
+				case opIf:
 					vm.steps++
-					pc = int(in.gtail - 1)
-				} else {
-					pc++
-				}
-				continue
-			case opFDecExport:
-				vm.steps += 2
-				vm.cdSetC(fr, vm.cdGetC(fr)-int64(in.slot))
-				vm.cd = fr.cd
-				if in.gtail != 0 {
-					vm.steps++
-					pc = int(in.gtail - 1)
-				} else {
-					pc++
-				}
-				continue
-			case opFAssignBinImm:
-				if a := vm.leafC(fr, &nodes[in.a]); a.Kind == KInt {
-					if v, ok := binIntVal(cfg.BinOp(in.bop), a.I, in.imm); ok {
-						vm.steps += 4
-						if in.dstGlobal {
-							vm.globals[in.slot] = v
-						} else {
-							fr.locals[in.slot] = v
-						}
-						if in.gtail != 0 {
-							vm.steps++
-							pc = int(in.gtail - 1)
-						} else {
-							pc++
-						}
-						continue
+					v, err := vm.evalC(fr, nodes, in.a)
+					if err != nil {
+						return Value{}, err
 					}
-				}
-			case opFAssignBin:
-				l, r := vm.leafC(fr, &nodes[in.a]), vm.leafC(fr, &nodes[in.b])
-				if l.Kind == KInt && r.Kind == KInt {
-					if v, ok := binIntVal(cfg.BinOp(in.bop), l.I, r.I); ok {
-						vm.steps += 4
-						if in.dstGlobal {
-							vm.globals[in.slot] = v
-						} else {
-							fr.locals[in.slot] = v
-						}
-						if in.gtail != 0 {
-							vm.steps++
-							pc = int(in.gtail - 1)
-						} else {
-							pc++
-						}
-						continue
+					if f = int(in.c); v.Truthy() {
+						f = int(in.b)
 					}
-				}
-			case opGoto:
-				vm.steps++
-				pc = int(in.b)
-				continue
-			case opCall, opFExportCall:
-				vm.steps++
-				if in.op == opFExportCall {
-					vm.steps++ // the export half's own step
-					vm.cd = fr.cd
-				}
-				if err := vm.callUserC(fr, nodes, in); err != nil {
-					return Value{}, err
-				}
-				if in.gtail == 0 {
-					pc++
 					continue
-				}
-				if vm.steps < fastLim {
-					vm.steps++
-					pc = int(in.gtail - 1)
-					continue
-				}
-				next, err := gotoHalf(vm, in.gtail-1)
-				if err != nil {
-					return Value{}, err
-				}
-				pc = next
-				continue
-			case opFAssignLeaf:
-				vm.steps += 2
-				v := vm.leafC(fr, &nodes[in.a])
-				if in.dstGlobal {
-					vm.globals[in.slot] = v
-				} else {
-					fr.locals[in.slot] = v
-				}
-				if in.gtail != 0 {
-					vm.steps++
-					pc = int(in.gtail - 1)
-				} else {
-					pc++
-				}
-				continue
-			case opFDecGoto:
-				vm.steps += 2
-				vm.cdSetC(fr, vm.cdGetC(fr)-int64(in.slot))
-				pc = int(in.b)
-				continue
-			case opFDecIfBin:
-				l, r := vm.leafC(fr, &nodes[in.slot]), vm.leafC(fr, &nodes[in.a])
-				if l.Kind == KInt && r.Kind == KInt {
-					if t, ok := binIntCond(cfg.BinOp(in.bop), l.I, r.I); ok {
-						vm.steps += 5
-						vm.cdSetC(fr, vm.cdGetC(fr)-in.imm)
-						if pc = int(in.c); t {
-							pc = int(in.b)
-						}
-						continue
+				case opFIfLeaf:
+					vm.steps += 2
+					if f = int(in.c); vm.leafP(fr, &nodes[in.a]).Truthy() {
+						f = int(in.b)
 					}
-				}
-			case opFDecIfLeaf:
-				vm.steps += 3
-				vm.cdSetC(fr, vm.cdGetC(fr)-in.imm)
-				if pc = int(in.c); vm.leafC(fr, &nodes[in.a]).Truthy() {
-					pc = int(in.b)
-				}
-				continue
-			case opFDecThreshold:
-				vm.steps += 2
-				vm.cdSetC(fr, vm.cdGetC(fr)-int64(in.slot))
-				if pc = int(in.c); vm.cdGetC(fr) > in.imm {
-					pc = int(in.b)
-				}
-				continue
-			case opFIfLeaf:
-				vm.steps += 2
-				if pc = int(in.c); vm.leafC(fr, &nodes[in.a]).Truthy() {
-					pc = int(in.b)
-				}
-				continue
-			case opFRetLeaf:
-				vm.steps += 2
-				return vm.leafC(fr, &nodes[in.a]), nil
-			case opRetVoid:
-				vm.steps++
-				return IntVal(0), nil
-			case opFExportRetLeaf:
-				vm.steps += 3
-				vm.cd = fr.cd
-				return vm.leafC(fr, &nodes[in.a]), nil
-			case opFExportRetVoid:
-				vm.steps += 2
-				vm.cd = fr.cd
-				return IntVal(0), nil
-			case opRet:
-				vm.steps++
-				v, err := vm.evalC(fr, nodes, in.a)
-				if err != nil {
-					return Value{}, err
-				}
-				return v, nil
-			case opFExportRet:
-				vm.steps += 2
-				vm.cd = fr.cd
-				v, err := vm.evalC(fr, nodes, in.a)
-				if err != nil {
-					return Value{}, err
-				}
-				return v, nil
-			case opIf:
-				vm.steps++
-				v, err := vm.evalC(fr, nodes, in.a)
-				if err != nil {
-					return Value{}, err
-				}
-				if pc = int(in.c); v.Truthy() {
-					pc = int(in.b)
-				}
-				continue
-			case opFDecIf:
-				vm.steps += 2
-				vm.cdSetC(fr, vm.cdGetC(fr)-in.imm)
-				v, err := vm.evalC(fr, nodes, in.a)
-				if err != nil {
-					return Value{}, err
-				}
-				if pc = int(in.c); v.Truthy() {
-					pc = int(in.b)
-				}
-				continue
-			case opAssignCell:
-				vm.steps++
-				if err := vm.assignCellC(fr, nodes, in); err != nil {
-					return Value{}, err
-				}
-				if in.gtail == 0 {
-					pc++
 					continue
-				}
-				if vm.steps < fastLim {
+				case opFDecIfBin:
 					vm.steps++
-					pc = int(in.gtail - 1)
-					continue
-				}
-				next, err := gotoHalf(vm, in.gtail-1)
-				if err != nil {
-					return Value{}, err
-				}
-				pc = next
-				continue
-			case opCallBuiltin:
-				vm.steps++
-				if err := vm.callBuiltinC(fr, nodes, in); err != nil {
-					return Value{}, err
-				}
-				if in.gtail == 0 {
-					pc++
-					continue
-				}
-				if vm.steps < fastLim {
-					vm.steps++
-					pc = int(in.gtail - 1)
-					continue
-				}
-				next, err := gotoHalf(vm, in.gtail-1)
-				if err != nil {
-					return Value{}, err
-				}
-				pc = next
-				continue
-			case opCountdownDec:
-				vm.steps++
-				vm.cdSetC(fr, vm.cdGetC(fr)-int64(in.slot))
-				if in.gtail != 0 {
-					vm.steps++
-					pc = int(in.gtail - 1)
-				} else {
-					pc++
-				}
-				continue
-			case opCDImport:
-				vm.steps++
-				fr.cd = vm.cd
-				if in.gtail != 0 {
-					vm.steps++
-					pc = int(in.gtail - 1)
-				} else {
-					pc++
-				}
-				continue
-			case opCDExport:
-				vm.steps++
-				vm.cd = fr.cd
-				if in.gtail != 0 {
-					vm.steps++
-					pc = int(in.gtail - 1)
-				} else {
-					pc++
-				}
-				continue
-			case opFAssignLoad:
-				if v, ok := loadFast(vm.leafC(fr, &nodes[in.a]), vm.leafC(fr, &nodes[in.b])); ok {
+					vm.cdSetC(fr, vm.cdGetC(fr)-in.imm)
+					fallthrough
+				case opFIfBin:
 					vm.steps += 4
-					if in.dstGlobal {
+					l, r := vm.leafP(fr, &nodes[in.slot]), vm.leafP(fr, &nodes[in.a])
+					var t, ok bool
+					if l.Kind == KInt && r.Kind == KInt {
+						t, ok = binIntCond(cfg.BinOp(in.bop), l.I, r.I)
+					}
+					if !ok {
+						v, err := binop(cfg.BinOp(in.bop), *l, *r, in.pos)
+						if err != nil {
+							return Value{}, err
+						}
+						t = v.Truthy()
+					}
+					if f = int(in.c); t {
+						f = int(in.b)
+					}
+					continue
+				case opFExportRetVoid:
+					vm.steps++
+					vm.cd = fr.cd
+					fallthrough
+				case opRetVoid:
+					vm.steps++
+					return IntVal(0), nil
+				case opFExportRet:
+					vm.steps++
+					vm.cd = fr.cd
+					fallthrough
+				case opRet:
+					vm.steps++
+					return vm.evalC(fr, nodes, in.a)
+				case opFExportRetLeaf:
+					vm.steps++
+					vm.cd = fr.cd
+					fallthrough
+				case opFRetLeaf:
+					vm.steps += 2
+					return *vm.leafP(fr, &nodes[in.a]), nil
+
+				// Sequential instructions.
+				case opAssignLocal, opAssignGlobal:
+					vm.steps++
+					v, err := vm.evalC(fr, nodes, in.a)
+					if err != nil {
+						return Value{}, err
+					}
+					if in.op == opAssignGlobal {
 						vm.globals[in.slot] = v
 					} else {
 						fr.locals[in.slot] = v
 					}
-					if in.gtail != 0 {
-						vm.steps++
-						pc = int(in.gtail - 1)
-					} else {
-						pc++
+				case opAssignCell:
+					vm.steps++
+					if err := vm.assignCellC(fr, nodes, in); err != nil {
+						return Value{}, err
 					}
-					continue
+				case opFExportCall:
+					vm.steps++
+					vm.cd = fr.cd
+					fallthrough
+				case opCall:
+					vm.steps++
+					if err := vm.callUserC(fr, nodes, in); err != nil {
+						return Value{}, err
+					}
+				case opCallBuiltin:
+					vm.steps++
+					if err := vm.callBuiltinC(fr, nodes, in); err != nil {
+						return Value{}, err
+					}
+				case opSite:
+					vm.steps++
+					if err := vm.fireProbeC(fr, nodes, in.site, in.args); err != nil {
+						return Value{}, err
+					}
+				case opGuardedSite:
+					vm.steps++
+					if err := vm.guardedSiteC(fr, nodes, in); err != nil {
+						return Value{}, err
+					}
+				case opCountdownDec:
+					vm.steps++
+					vm.cdSetC(fr, vm.cdGetC(fr)-int64(in.slot))
+				case opCDImport:
+					vm.steps++
+					fr.cd = vm.cd
+				case opFDecExport:
+					vm.steps++
+					vm.cdSetC(fr, vm.cdGetC(fr)-int64(in.slot))
+					fallthrough
+				case opCDExport:
+					vm.steps++
+					vm.cd = fr.cd
+				case opFAssignLeaf:
+					vm.steps += 2
+					vm.setDst(fr, in, vm.leafP(fr, &nodes[in.a]))
+				case opFAssignBin:
+					vm.steps += 4
+					v, err := binLeaves(cfg.BinOp(in.bop), vm.leafP(fr, &nodes[in.a]), vm.leafP(fr, &nodes[in.b]), in.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					vm.setDst(fr, in, &v)
+				case opFAssignBinImm:
+					// The folded constant still pays its leaf step.
+					vm.steps += 4
+					imm := IntVal(in.imm)
+					v, err := binLeaves(cfg.BinOp(in.bop), vm.leafP(fr, &nodes[in.a]), &imm, in.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					vm.setDst(fr, in, &v)
+				case opFAssignBin3:
+					// Outer bin, inner bin and its leaves; the inner operator's
+					// trap point; the right leaf; the outer operator's.
+					n := &nodes[in.a]
+					inner := &nodes[n.a]
+					vm.steps += 5
+					l, err := binLeaves(cfg.BinOp(inner.op), vm.leafP(fr, &nodes[inner.a]), vm.leafP(fr, &nodes[inner.b]), inner.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					vm.steps++
+					v, err := binLeaves(cfg.BinOp(in.bop), &l, vm.leafP(fr, &nodes[n.b]), in.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					vm.setDst(fr, in, &v)
+				case opFAssignLoad:
+					vm.steps += 4
+					cell, err := cellAt(vm.leafP(fr, &nodes[in.a]), vm.leafP(fr, &nodes[in.b]), in.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					vm.setDst(fr, in, cell)
+				case opFAssignLoadLoad:
+					// Each load traps, if it does, after its own node and leaves.
+					n := &nodes[in.a]
+					ln, rn := &nodes[n.a], &nodes[n.b]
+					vm.steps += 5
+					l, err := cellAt(vm.leafP(fr, &nodes[ln.a]), vm.leafP(fr, &nodes[ln.b]), ln.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					vm.steps += 3
+					r, err := cellAt(vm.leafP(fr, &nodes[rn.a]), vm.leafP(fr, &nodes[rn.b]), rn.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					v, err := binLeaves(cfg.BinOp(in.bop), l, r, in.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					vm.setDst(fr, in, &v)
+				case opFAssignCell:
+					vm.steps += 4
+					cell, err := cellAt(vm.leafP(fr, &nodes[in.b]), vm.leafP(fr, &nodes[in.c]), in.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					*cell = *vm.leafP(fr, &nodes[in.a])
+				case opFAssignCellBin:
+					// X, Ptr, Idx: the operator's trap point comes before the
+					// pointer and index leaves are charged.
+					n := &nodes[in.a]
+					vm.steps += 4
+					v, err := binLeaves(cfg.BinOp(n.op), vm.leafP(fr, &nodes[n.a]), vm.leafP(fr, &nodes[n.b]), n.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					vm.steps += 2
+					cell, err := cellAt(vm.leafP(fr, &nodes[in.b]), vm.leafP(fr, &nodes[in.c]), in.pos)
+					if err != nil {
+						return Value{}, err
+					}
+					*cell = v
+				default: // opBad, opBadTerm: the exact loop's traps
+					break fast
 				}
-			case opFAssignLoadBin:
-				ln := &nodes[in.a]
-				if av, ok := loadFast(vm.leafC(fr, &nodes[ln.a]), vm.leafC(fr, &nodes[ln.b])); ok && av.Kind == KInt {
-					if r := vm.leafC(fr, &nodes[in.b]); r.Kind == KInt {
-						if v, ok := binIntVal(cfg.BinOp(in.bop), av.I, r.I); ok {
-							vm.steps += 6
-							if in.dstGlobal {
-								vm.globals[in.slot] = v
-							} else {
-								fr.locals[in.slot] = v
-							}
-							if in.gtail != 0 {
-								vm.steps++
-								pc = int(in.gtail - 1)
-							} else {
-								pc++
-							}
-							continue
-						}
+				f++
+				if in.gtail != 0 {
+					// Fused goto tail. Calls and expression walks charge
+					// without bound and may have crossed the guard: then the
+					// Goto, the last instruction before the next group, is
+					// the exact loop's.
+					if vm.steps >= fastLim {
+						vm.handovers++
+						pc = int(fn.fstart[f]) - 1
+						goto exact
 					}
-				}
-			case opFAssignCellBin:
-				n := &nodes[in.a]
-				l, r := vm.leafC(fr, &nodes[n.a]), vm.leafC(fr, &nodes[n.b])
-				if l.Kind == KInt && r.Kind == KInt {
-					if v, ok := binIntVal(cfg.BinOp(n.op), l.I, r.I); ok {
-						vm.steps += 6
-						if err := storeCell(vm.leafC(fr, &nodes[in.b]), vm.leafC(fr, &nodes[in.c]),
-							v, in.pos); err != nil {
-							return Value{}, err
-						}
-						if in.gtail != 0 {
-							vm.steps++
-							pc = int(in.gtail - 1)
-						} else {
-							pc++
-						}
-						continue
-					}
-				}
-			case opFAssignBin3:
-				n := &nodes[in.a]
-				inner := &nodes[n.a]
-				il, ir := vm.leafC(fr, &nodes[inner.a]), vm.leafC(fr, &nodes[inner.b])
-				if il.Kind == KInt && ir.Kind == KInt {
-					if l, ok := binIntVal(cfg.BinOp(inner.op), il.I, ir.I); ok {
-						if r := vm.leafC(fr, &nodes[n.b]); r.Kind == KInt {
-							if v, ok := binIntVal(cfg.BinOp(in.bop), l.I, r.I); ok {
-								vm.steps += 6
-								if in.dstGlobal {
-									vm.globals[in.slot] = v
-								} else {
-									fr.locals[in.slot] = v
-								}
-								if in.gtail != 0 {
-									vm.steps++
-									pc = int(in.gtail - 1)
-								} else {
-									pc++
-								}
-								continue
-							}
-						}
-					}
-				}
-			case opFAssignLoadLoad:
-				n := &nodes[in.a]
-				ln, rn := &nodes[n.a], &nodes[n.b]
-				if l, ok := loadFast(vm.leafC(fr, &nodes[ln.a]), vm.leafC(fr, &nodes[ln.b])); ok && l.Kind == KInt {
-					if r, ok := loadFast(vm.leafC(fr, &nodes[rn.a]), vm.leafC(fr, &nodes[rn.b])); ok && r.Kind == KInt {
-						if v, ok := binIntVal(cfg.BinOp(in.bop), l.I, r.I); ok {
-							vm.steps += 8
-							if in.dstGlobal {
-								vm.globals[in.slot] = v
-							} else {
-								fr.locals[in.slot] = v
-							}
-							if in.gtail != 0 {
-								vm.steps++
-								pc = int(in.gtail - 1)
-							} else {
-								pc++
-							}
-							continue
-						}
-					}
+					vm.steps++
+					f = int(in.gtail - 1)
 				}
 			}
+			vm.handovers++
+			pc = int(fn.fstart[f])
 		}
-		// Exact dispatch through the handler table.
-		next, err := fhandlers[in.op](vm, fr, nodes, in, pc)
-		if err != nil {
-			return Value{}, err
-		}
-		if in.gtail != 0 {
-			// Fused goto tail (set only on sequential instructions, whose
-			// handlers fell through to pc+1): run the block-ending Goto's
-			// step inline instead of dispatching it.
-			if next, err = gotoHalf(vm, in.gtail-1); err != nil {
-				return Value{}, err
-			}
-		}
-		if next < 0 {
-			return vm.fret, nil
-		}
-		pc = next
-	}
-}
 
-// execFusedCounting is the dispatch-histogram variant of the loop
-// (Config.CountOps): every op goes through its exact handler, with the
-// per-opcode counter bump the hot loop is freed of. The dispatch mix is
-// the same stream either way, and the handlers are the observably
-// identical reference for the fast arms, so histogram runs differ only
-// in the counting itself.
-func (vm *VM) execFusedCounting(fn *compiledFunc, fr *cframe) (Value, error) {
-	code := fn.fcode
-	nodes := fn.nodes
-	pc := fn.fentry
-	for {
+	exact:
 		in := &code[pc]
-		vm.ops[in.op]++
-		next, err := fhandlers[in.op](vm, fr, nodes, in, pc)
+		if vm.ops != nil {
+			vm.countOp(fn, pc)
+		}
+		if in.op >= opGoto {
+			// Terminator: one fuel-checked step, then dispatch. On fuel
+			// exhaustion the charge is baseline, as in the tree walker.
+			if err := vm.step(minic.Pos{}); err != nil {
+				if vm.prof != nil {
+					vm.prof.take(PathBaseline, vm.steps)
+				}
+				return Value{}, err
+			}
+			kind := PathBaseline
+			switch in.op {
+			case opGoto:
+				pc = int(in.b)
+			case opIf:
+				v, err := vm.evalC(fr, nodes, in.a)
+				if err != nil {
+					// No take: the profiler exit in callC claims these
+					// steps as baseline, exactly like the tree walker.
+					return Value{}, err
+				}
+				if pc = int(in.c); v.Truthy() {
+					pc = int(in.b)
+				}
+			case opRetVoid:
+				return IntVal(0), nil
+			case opRet:
+				return vm.evalC(fr, nodes, in.a)
+			case opThreshold:
+				kind = PathThreshold
+				if pc = int(in.c); vm.cdGetC(fr) > int64(in.slot) {
+					pc = int(in.b)
+				}
+			default:
+				return Value{}, &Trap{Kind: TrapBadProgram, Msg: "missing terminator"}
+			}
+			if vm.prof != nil {
+				vm.prof.take(kind, vm.steps)
+			}
+			continue
+		}
+
+		// Instruction: one fuel-checked step, the op body, then the
+		// profiler charge — which, as in the tree walker, runs even when
+		// the body (or the fuel check itself) produced the error.
+		err := vm.step(minic.Pos{})
+		if err == nil {
+			switch in.op {
+			case opAssignLocal:
+				var v Value
+				if v, err = vm.evalC(fr, nodes, in.a); err == nil {
+					fr.locals[in.slot] = v
+				}
+			case opAssignGlobal:
+				var v Value
+				if v, err = vm.evalC(fr, nodes, in.a); err == nil {
+					vm.globals[in.slot] = v
+				}
+			case opAssignCell:
+				err = vm.assignCellC(fr, nodes, in)
+			case opCall:
+				err = vm.callUserC(fr, nodes, in)
+			case opCallBuiltin:
+				err = vm.callBuiltinC(fr, nodes, in)
+			case opSite:
+				err = vm.fireProbeC(fr, nodes, in.site, in.args)
+			case opGuardedSite:
+				err = vm.guardedSiteC(fr, nodes, in)
+			case opCountdownDec:
+				vm.cdSetC(fr, vm.cdGetC(fr)-int64(in.slot))
+			case opCDImport:
+				fr.cd = vm.cd
+			case opCDExport:
+				vm.cd = fr.cd
+			default:
+				err = &Trap{Kind: TrapBadProgram, Msg: in.name}
+			}
+		}
+		if vm.prof != nil {
+			vm.prof.take(opKinds[in.op], vm.steps)
+		}
 		if err != nil {
 			return Value{}, err
 		}
-		if in.gtail != 0 {
-			if next, err = gotoHalf(vm, in.gtail-1); err != nil {
-				return Value{}, err
-			}
-		}
-		if next < 0 {
-			return vm.fret, nil
-		}
-		pc = next
+		pc++
 	}
 }
 
-// binIntCond evaluates a branch condition binop on two KInt operands for
-// the in-loop fast paths: the comparison result, or the truthiness of
-// the arithmetic result (overflow-exact, matching binLeaves). ok is
-// false for Div/Mod, which can trap and take the exact handler instead.
+// countOp is the Config.CountOps bump of the exact loop standing at pc.
+// EngineCompiled counts every instruction. EngineFused counts the fused
+// stream's dispatches: the op of the group that starts at pc and nothing
+// inside a group — a group is entered only at its start, so this is the
+// dispatch mix of the fast loop, which itself never counts.
+func (vm *VM) countOp(fn *compiledFunc, pc int) {
+	if vm.engine != EngineFused {
+		vm.ops[fn.code[pc].op]++
+	} else if f := fn.fat[pc]; f >= 0 {
+		vm.ops[fn.fcode[f].op]++
+	}
+}
+
+// guardedSiteC is the slow path's countdown-guarded probe: decrement,
+// and at zero fire the probe and draw the next countdown. On a probe
+// error the countdown write is skipped, as in the tree walker.
+func (vm *VM) guardedSiteC(fr *cframe, nodes []enode, in *cinstr) error {
+	cd := vm.cdGetC(fr) - 1
+	if cd == 0 {
+		if err := vm.fireProbeC(fr, nodes, in.site, in.args); err != nil {
+			return err
+		}
+		cd = vm.source.Next()
+	}
+	vm.cdSetC(fr, cd)
+	return nil
+}
+
+// leafP is leafC by reference: the fast arms read a leaf's Kind and I in
+// place, or copy it once to where it goes.
+func (vm *VM) leafP(fr *cframe, n *enode) *Value {
+	if n.kind == eLocal {
+		return &fr.locals[n.slot]
+	}
+	if n.kind == eGlobal {
+		return &vm.globals[n.slot]
+	}
+	return &n.val
+}
+
+// setDst stores *v in the instruction's destination variable.
+func (vm *VM) setDst(fr *cframe, in *cinstr, v *Value) {
+	if in.dstGlobal {
+		vm.globals[in.slot] = *v
+	} else {
+		fr.locals[in.slot] = *v
+	}
+}
+
+// binIntCond is the truth of a binop on two ints, for the fused
+// branches. ok is false for Div and Mod, which can trap.
 func binIntCond(op cfg.BinOp, a, b int64) (t, ok bool) {
 	switch op {
 	case cfg.BinEq:
@@ -609,310 +464,10 @@ func binIntCond(op cfg.BinOp, a, b int64) (t, ok bool) {
 	return false, false
 }
 
-// binIntVal applies a binop to two KInt operands for the in-loop fast
-// paths, mirroring binLeaves' resolved-in-place arm. ok is false for
-// Div/Mod, which can trap and take the exact handler instead.
-func binIntVal(op cfg.BinOp, a, b int64) (Value, bool) {
-	switch op {
-	case cfg.BinAdd:
-		return IntVal(a + b), true
-	case cfg.BinSub:
-		return IntVal(a - b), true
-	case cfg.BinMul:
-		return IntVal(a * b), true
-	case cfg.BinEq:
-		return boolVal(a == b), true
-	case cfg.BinNe:
-		return boolVal(a != b), true
-	case cfg.BinLt:
-		return boolVal(a < b), true
-	case cfg.BinLe:
-		return boolVal(a <= b), true
-	case cfg.BinGt:
-		return boolVal(a > b), true
-	case cfg.BinGe:
-		return boolVal(a >= b), true
-	}
-	return Value{}, false
-}
-
-// ----------------------------------------------------------------------------
-// Generic handlers: one per unfused opcode, mirroring execSwitch's arms
-// (and through them the tree walker) charge for charge.
-
-func fhAssign(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		var v Value
-		if v, err = vm.evalC(fr, nodes, in.a); err == nil {
-			if in.op == opAssignGlobal {
-				vm.globals[in.slot] = v
-			} else {
-				fr.locals[in.slot] = v
-			}
-		}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-func fhAssignCell(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		err = vm.assignCellC(fr, nodes, in)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-func fhCall(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		err = vm.callUserC(fr, nodes, in)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-func fhCallBuiltin(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		err = vm.callBuiltinC(fr, nodes, in)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-func fhSite(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		err = vm.fireProbeC(fr, nodes, in.site, in.args)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathSlowSite, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-func fhGuardedSite(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		cd := vm.cdGetC(fr) - 1
-		if cd == 0 {
-			if err = vm.fireProbeC(fr, nodes, in.site, in.args); err == nil {
-				cd = vm.source.Next()
-				vm.cdSetC(fr, cd)
-			}
-			// On probe error the countdown write is skipped, as in the
-			// tree walker.
-		} else {
-			vm.cdSetC(fr, cd)
-		}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathSlowSite, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-func fhCountdownDec(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		vm.cdSetC(fr, vm.cdGetC(fr)-int64(in.slot))
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathFastDec, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-// importHalf / exportHalf are the CDImport/CDExport step shared by the
-// standalone handlers and the plumbing fusions: one fuel-checked step,
-// the countdown move, and a fast-dec charge (which, as everywhere, runs
-// even when the fuel check failed).
-func importHalf(vm *VM, fr *cframe) error {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		fr.cd = vm.cd
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathFastDec, vm.steps)
-	}
-	return err
-}
-
-func exportHalf(vm *VM, fr *cframe) error {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		vm.cd = fr.cd
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathFastDec, vm.steps)
-	}
-	return err
-}
-
-func fhCDImport(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := importHalf(vm, fr); err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-func fhCDExport(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := exportHalf(vm, fr); err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-func fhBad(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		err = &Trap{Kind: TrapBadProgram, Msg: in.name}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	return 0, err
-}
-
-// gotoHalf is the Goto terminator step shared by fhGoto and every
-// *+goto fusion: one fuel-checked step, a baseline charge, jump.
-func gotoHalf(vm *VM, target int32) (int, error) {
-	if err := vm.step(minic.Pos{}); err != nil {
-		if vm.prof != nil {
-			vm.prof.take(PathBaseline, vm.steps)
-		}
-		return 0, err
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	return int(target), nil
-}
-
-func fhGoto(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	return gotoHalf(vm, in.b)
-}
-
-func fhIf(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := vm.step(minic.Pos{}); err != nil {
-		if vm.prof != nil {
-			vm.prof.take(PathBaseline, vm.steps)
-		}
-		return 0, err
-	}
-	v, err := vm.evalC(fr, nodes, in.a)
-	if err != nil {
-		// No take: the deferred profiler exit claims these steps as
-		// baseline, exactly like the tree walker.
-		return 0, err
-	}
-	next := int(in.c)
-	if v.Truthy() {
-		next = int(in.b)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	return next, nil
-}
-
-func fhRet(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := vm.step(minic.Pos{}); err != nil {
-		if vm.prof != nil {
-			vm.prof.take(PathBaseline, vm.steps)
-		}
-		return 0, err
-	}
-	v, err := vm.evalC(fr, nodes, in.a)
-	if err != nil {
-		return 0, err
-	}
-	// No take on success: the deferred profiler exit claims the trailing
-	// steps, as in the other engines.
-	vm.fret = v
-	return retPC, nil
-}
-
-func fhRetVoid(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := vm.step(minic.Pos{}); err != nil {
-		if vm.prof != nil {
-			vm.prof.take(PathBaseline, vm.steps)
-		}
-		return 0, err
-	}
-	vm.fret = IntVal(0)
-	return retPC, nil
-}
-
-func fhThreshold(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := vm.step(minic.Pos{}); err != nil {
-		if vm.prof != nil {
-			vm.prof.take(PathBaseline, vm.steps)
-		}
-		return 0, err
-	}
-	next := int(in.c)
-	if vm.cdGetC(fr) > int64(in.slot) {
-		next = int(in.b)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathThreshold, vm.steps)
-	}
-	return next, nil
-}
-
-func fhBadTerm(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := vm.step(minic.Pos{}); err != nil {
-		if vm.prof != nil {
-			vm.prof.take(PathBaseline, vm.steps)
-		}
-		return 0, err
-	}
-	return 0, &Trap{Kind: TrapBadProgram, Msg: "missing terminator"}
-}
-
-// ----------------------------------------------------------------------------
-// Superinstruction handlers. Expression charges are batched between
-// possible trap points; comments give the unfused charge sequence each
-// batch stands in for.
-
-// binLeaves applies bop to two already-fetched leaf values exactly as
-// evalC's eBin case: the all-int operators resolved in place (Div and
-// Mod fall through for the zero-divisor trap), everything else through
-// the shared binop.
-func binLeaves(op cfg.BinOp, a, b Value, pos minic.Pos) (Value, error) {
+// binLeaves applies op to two leaf values exactly as evalC's eBin case:
+// the all-int operators resolved in place (Div and Mod fall through for
+// the zero-divisor trap), everything else through the shared binop.
+func binLeaves(op cfg.BinOp, a, b *Value, pos minic.Pos) (Value, error) {
 	if a.Kind == KInt && b.Kind == KInt {
 		switch op {
 		case cfg.BinAdd:
@@ -935,561 +490,17 @@ func binLeaves(op cfg.BinOp, a, b Value, pos minic.Pos) (Value, error) {
 			return boolVal(a.I >= b.I), nil
 		}
 	}
-	return binop(op, a, b, pos)
+	return binop(op, *a, *b, pos)
 }
 
-// loadFast resolves a valid in-bounds load in place, mirroring evalC's
-// eLoad fast path; the caller falls back to resolveCell otherwise.
-func loadFast(ptr, idx Value) (Value, bool) {
+// cellAt is the address of ptr[idx], a valid in-bounds access resolved
+// in place like evalC's eLoad case; anything else re-derives its trap in
+// resolveCell.
+func cellAt(ptr, idx *Value, pos minic.Pos) (*Value, error) {
 	if ptr.Kind == KPtr && idx.Kind == KInt && !ptr.Obj.Freed {
 		if off := ptr.Off + int(idx.I); off >= 0 && off < len(ptr.Obj.Data) {
-			return ptr.Obj.Data[off], true
+			return &ptr.Obj.Data[off], nil
 		}
 	}
-	return Value{}, false
-}
-
-// storeCell stores v into ptr[idx] with the fast path of assignCellC.
-func storeCell(ptr, idx, v Value, pos minic.Pos) error {
-	if ptr.Kind == KPtr && idx.Kind == KInt && !ptr.Obj.Freed {
-		if off := ptr.Off + int(idx.I); off >= 0 && off < len(ptr.Obj.Data) {
-			ptr.Obj.Data[off] = v
-			return nil
-		}
-	}
-	cell, err := resolveCell(ptr, idx, pos)
-	if err != nil {
-		return err
-	}
-	*cell = v
-	return nil
-}
-
-// fhFAssignBin: dst = binop(leaf, leaf). Unfused charges: instruction
-// step (fuel-checked), then eBin node + two leaves (+3, unchecked).
-// Leaves cannot trap, so the batch is unobservable; the operator trap
-// surfaces at the same step total as evalC's.
-func fhFAssignBin(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		vm.steps += 3
-		var v Value
-		if v, err = binLeaves(cfg.BinOp(in.bop),
-			vm.leafC(fr, &nodes[in.a]), vm.leafC(fr, &nodes[in.b]), in.pos); err == nil {
-			if in.dstGlobal {
-				vm.globals[in.slot] = v
-			} else {
-				fr.locals[in.slot] = v
-			}
-		}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-// assignBinImm is the body of opFAssignBinImm — dst = binop(leaf,
-// int-const), same charges as fhFAssignBin (the folded constant still
-// pays its leaf step) — shared with the +goto fusion.
-func assignBinImm(vm *VM, fr *cframe, nodes []enode, in *cinstr) error {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		vm.steps += 3
-		a := vm.leafC(fr, &nodes[in.a])
-		var v Value
-		if a.Kind == KInt {
-			switch cfg.BinOp(in.bop) {
-			case cfg.BinAdd:
-				v = IntVal(a.I + in.imm)
-			case cfg.BinSub:
-				v = IntVal(a.I - in.imm)
-			case cfg.BinMul:
-				v = IntVal(a.I * in.imm)
-			case cfg.BinEq:
-				v = boolVal(a.I == in.imm)
-			case cfg.BinNe:
-				v = boolVal(a.I != in.imm)
-			case cfg.BinLt:
-				v = boolVal(a.I < in.imm)
-			case cfg.BinLe:
-				v = boolVal(a.I <= in.imm)
-			case cfg.BinGt:
-				v = boolVal(a.I > in.imm)
-			case cfg.BinGe:
-				v = boolVal(a.I >= in.imm)
-			default: // Div/Mod: zero-divisor trap in binop
-				v, err = binop(cfg.BinOp(in.bop), a, IntVal(in.imm), in.pos)
-			}
-		} else {
-			v, err = binop(cfg.BinOp(in.bop), a, IntVal(in.imm), in.pos)
-		}
-		if err == nil {
-			if in.dstGlobal {
-				vm.globals[in.slot] = v
-			} else {
-				fr.locals[in.slot] = v
-			}
-		}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	return err
-}
-
-func fhFAssignBinImm(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := assignBinImm(vm, fr, nodes, in); err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-// fhFAssignLoad: dst = leaf[leaf]. Unfused charges: instruction step,
-// then eLoad node + two leaves (+3); the load trap surfaces after all
-// three, exactly where evalC would put it.
-func fhFAssignLoad(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		vm.steps += 3
-		ptr := vm.leafC(fr, &nodes[in.a])
-		idx := vm.leafC(fr, &nodes[in.b])
-		v, ok := loadFast(ptr, idx)
-		if !ok {
-			var cell *Value
-			if cell, err = resolveCell(ptr, idx, in.pos); err == nil {
-				v = *cell
-			}
-		}
-		if err == nil {
-			if in.dstGlobal {
-				vm.globals[in.slot] = v
-			} else {
-				fr.locals[in.slot] = v
-			}
-		}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-// fhFAssignLoadBin: dst = binop(leaf[leaf], leaf). Unfused charges:
-// instruction step, then eBin + eLoad + its two leaves (+4), the load
-// trap point, the right leaf (+1), the operator trap point. The batch
-// splits at the load so both trap points see the unfused totals.
-func fhFAssignLoadBin(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		ln := &nodes[in.a]
-		vm.steps += 4
-		ptr := vm.leafC(fr, &nodes[ln.a])
-		idx := vm.leafC(fr, &nodes[ln.b])
-		av, ok := loadFast(ptr, idx)
-		if !ok {
-			var cell *Value
-			if cell, err = resolveCell(ptr, idx, ln.pos); err == nil {
-				av = *cell
-			}
-		}
-		if err == nil {
-			vm.steps++
-			var v Value
-			if v, err = binLeaves(cfg.BinOp(in.bop),
-				av, vm.leafC(fr, &nodes[in.b]), in.pos); err == nil {
-				if in.dstGlobal {
-					vm.globals[in.slot] = v
-				} else {
-					fr.locals[in.slot] = v
-				}
-			}
-		}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-// fhFAssignCell: leaf[leaf] = leaf. Unfused charges: instruction step,
-// then the X, Ptr, Idx leaves (+3), then the store trap point.
-func fhFAssignCell(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		vm.steps += 3
-		v := vm.leafC(fr, &nodes[in.a])
-		ptr := vm.leafC(fr, &nodes[in.b])
-		idx := vm.leafC(fr, &nodes[in.c])
-		err = storeCell(ptr, idx, v, in.pos)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-// fhFAssignCellBin: leaf[leaf] = binop(leaf, leaf). Unfused charges:
-// instruction step; X = eBin + its two leaves (+3, then the operator
-// trap point); Ptr and Idx leaves (+2); then the store trap point —
-// the X, Ptr, Idx order of assignCellC.
-func fhFAssignCellBin(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		n := &nodes[in.a]
-		vm.steps += 3
-		var v Value
-		if v, err = binLeaves(cfg.BinOp(n.op),
-			vm.leafC(fr, &nodes[n.a]), vm.leafC(fr, &nodes[n.b]), n.pos); err == nil {
-			vm.steps += 2
-			err = storeCell(vm.leafC(fr, &nodes[in.b]), vm.leafC(fr, &nodes[in.c]), v, in.pos)
-		}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-// fhFIfBin: branch on binop(leaf, leaf). Unfused charges: terminator
-// step (fuel-checked; baseline on exhaustion), then eBin + two leaves
-// (+3). Comparisons never trap; Div/Mod can, with no take (the deferred
-// profiler exit claims those steps), matching opIf's cond-error path.
-func fhFIfBin(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := vm.step(minic.Pos{}); err != nil {
-		if vm.prof != nil {
-			vm.prof.take(PathBaseline, vm.steps)
-		}
-		return 0, err
-	}
-	vm.steps += 3
-	l := vm.leafC(fr, &nodes[in.slot])
-	r := vm.leafC(fr, &nodes[in.a])
-	var t bool
-	if l.Kind == KInt && r.Kind == KInt {
-		switch cfg.BinOp(in.bop) {
-		case cfg.BinEq:
-			t = l.I == r.I
-		case cfg.BinNe:
-			t = l.I != r.I
-		case cfg.BinLt:
-			t = l.I < r.I
-		case cfg.BinLe:
-			t = l.I <= r.I
-		case cfg.BinGt:
-			t = l.I > r.I
-		case cfg.BinGe:
-			t = l.I >= r.I
-		case cfg.BinAdd:
-			t = l.I+r.I != 0
-		case cfg.BinSub:
-			t = l.I-r.I != 0
-		case cfg.BinMul:
-			t = l.I*r.I != 0
-		default:
-			v, err := binop(cfg.BinOp(in.bop), l, r, in.pos)
-			if err != nil {
-				return 0, err
-			}
-			t = v.Truthy()
-		}
-	} else {
-		v, err := binLeaves(cfg.BinOp(in.bop), l, r, in.pos)
-		if err != nil {
-			return 0, err
-		}
-		t = v.Truthy()
-	}
-	next := int(in.c)
-	if t {
-		next = int(in.b)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	return next, nil
-}
-
-// fhFIfLeaf: branch on a leaf. Terminator step + one leaf charge.
-func fhFIfLeaf(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := vm.step(minic.Pos{}); err != nil {
-		if vm.prof != nil {
-			vm.prof.take(PathBaseline, vm.steps)
-		}
-		return 0, err
-	}
-	vm.steps++
-	next := int(in.c)
-	if vm.leafC(fr, &nodes[in.a]).Truthy() {
-		next = int(in.b)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	return next, nil
-}
-
-// fhFRetLeaf: return a leaf. Terminator step + one leaf charge; no take
-// on success, as with opRet.
-func fhFRetLeaf(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := vm.step(minic.Pos{}); err != nil {
-		if vm.prof != nil {
-			vm.prof.take(PathBaseline, vm.steps)
-		}
-		return 0, err
-	}
-	vm.steps++
-	vm.fret = vm.leafC(fr, &nodes[in.a])
-	return retPC, nil
-}
-
-// decPrefix is the CountdownDec half of every dec+terminator
-// superinstruction: its own fuel-checked step and fast-dec profiler
-// charge, so fuel exhaustion between the fused halves traps at the same
-// step with the same attribution as the unfused pair.
-func decPrefix(vm *VM, fr *cframe, n int64) error {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		vm.cdSetC(fr, vm.cdGetC(fr)-n)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathFastDec, vm.steps)
-	}
-	return err
-}
-
-// fhFDecGoto: the paper's sampling fast path in one dispatch —
-// CountdownDec fused with its fall-through Goto.
-func fhFDecGoto(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := decPrefix(vm, fr, int64(in.slot)); err != nil {
-		return 0, err
-	}
-	return gotoHalf(vm, in.b)
-}
-
-// fhFDecThreshold: CountdownDec fused with a checkpoint Threshold; the
-// two component steps keep their separate fuel checks and profiler
-// kinds (fast-dec, then baseline on exhaustion / threshold on success).
-func fhFDecThreshold(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := decPrefix(vm, fr, int64(in.slot)); err != nil {
-		return 0, err
-	}
-	if err := vm.step(minic.Pos{}); err != nil {
-		if vm.prof != nil {
-			vm.prof.take(PathBaseline, vm.steps)
-		}
-		return 0, err
-	}
-	next := int(in.c)
-	if vm.cdGetC(fr) > in.imm {
-		next = int(in.b)
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathThreshold, vm.steps)
-	}
-	return next, nil
-}
-
-// fhFDecIf / fhFDecIfBin / fhFDecIfLeaf: CountdownDec (amount in imm)
-// fused with the block's conditional branch — the fast path in front of
-// every loop back-edge test. The If half delegates to the exact
-// unfused-If handlers, so its charges and trap behaviour are shared by
-// construction.
-func fhFDecIf(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := decPrefix(vm, fr, in.imm); err != nil {
-		return 0, err
-	}
-	return fhIf(vm, fr, nodes, in, pc)
-}
-
-func fhFDecIfBin(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := decPrefix(vm, fr, in.imm); err != nil {
-		return 0, err
-	}
-	return fhFIfBin(vm, fr, nodes, in, pc)
-}
-
-func fhFDecIfLeaf(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := decPrefix(vm, fr, in.imm); err != nil {
-		return 0, err
-	}
-	return fhFIfLeaf(vm, fr, nodes, in, pc)
-}
-
-// ----------------------------------------------------------------------------
-// Countdown-plumbing and call/branch glue fusions. Every handler is a
-// composition of the component halves — each component keeps its own
-// fuel-checked step and profiler charge, so observable behaviour is
-// shared with the unfused sequence by construction.
-
-// fhFDecExport: CountdownDec fused with the CDExport it feeds before a
-// call or return.
-func fhFDecExport(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := decPrefix(vm, fr, int64(in.slot)); err != nil {
-		return 0, err
-	}
-	if err := exportHalf(vm, fr); err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-// fhFExportCall: CDExport fused with the call it hands the countdown to.
-func fhFExportCall(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := exportHalf(vm, fr); err != nil {
-		return 0, err
-	}
-	return fhCall(vm, fr, nodes, in, pc)
-}
-
-// fhFImportThreshold: the CDImport at region entry fused with the entry
-// checkpoint it precedes.
-func fhFImportThreshold(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := importHalf(vm, fr); err != nil {
-		return 0, err
-	}
-	return fhThreshold(vm, fr, nodes, in, pc)
-}
-
-// fhFExportRet / fhFExportRetVoid / fhFExportRetLeaf: the CDExport at
-// region exit fused with the return it precedes.
-func fhFExportRet(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := exportHalf(vm, fr); err != nil {
-		return 0, err
-	}
-	return fhRet(vm, fr, nodes, in, pc)
-}
-
-func fhFExportRetVoid(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := exportHalf(vm, fr); err != nil {
-		return 0, err
-	}
-	return fhRetVoid(vm, fr, nodes, in, pc)
-}
-
-func fhFExportRetLeaf(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	if err := exportHalf(vm, fr); err != nil {
-		return 0, err
-	}
-	return fhFRetLeaf(vm, fr, nodes, in, pc)
-}
-
-// fhFAssignLeaf: dst = leaf. Unfused charges: instruction step, one
-// leaf charge (+1). Nothing can trap after the fuel check.
-func fhFAssignLeaf(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		vm.steps++
-		v := vm.leafC(fr, &nodes[in.a])
-		if in.dstGlobal {
-			vm.globals[in.slot] = v
-		} else {
-			fr.locals[in.slot] = v
-		}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-// fhFAssignBin3: dst = binop(binop(leaf, leaf), leaf). Unfused charges:
-// instruction step, then outer bin + inner bin + its two leaves (+4),
-// the inner operator trap point, the right leaf (+1), the outer
-// operator trap point — evalC's pre-order exactly.
-func fhFAssignBin3(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		n := &nodes[in.a]
-		inner := &nodes[n.a]
-		vm.steps += 4
-		var l Value
-		if l, err = binLeaves(cfg.BinOp(inner.op),
-			vm.leafC(fr, &nodes[inner.a]), vm.leafC(fr, &nodes[inner.b]), inner.pos); err == nil {
-			vm.steps++
-			var v Value
-			if v, err = binLeaves(cfg.BinOp(in.bop),
-				l, vm.leafC(fr, &nodes[n.b]), in.pos); err == nil {
-				if in.dstGlobal {
-					vm.globals[in.slot] = v
-				} else {
-					fr.locals[in.slot] = v
-				}
-			}
-		}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
-}
-
-// fhFAssignLoadLoad: dst = binop(leaf[leaf], leaf[leaf]). Unfused
-// charges: instruction step, then bin + left load + its two leaves
-// (+4), the left load trap point, the right load + its two leaves (+3),
-// the right load trap point, the operator trap point.
-func fhFAssignLoadLoad(vm *VM, fr *cframe, nodes []enode, in *cinstr, pc int) (int, error) {
-	err := vm.step(minic.Pos{})
-	if err == nil {
-		n := &nodes[in.a]
-		ln, rn := &nodes[n.a], &nodes[n.b]
-		vm.steps += 4
-		l, ok := loadFast(vm.leafC(fr, &nodes[ln.a]), vm.leafC(fr, &nodes[ln.b]))
-		if !ok {
-			var cell *Value
-			if cell, err = resolveCell(vm.leafC(fr, &nodes[ln.a]),
-				vm.leafC(fr, &nodes[ln.b]), ln.pos); err == nil {
-				l = *cell
-			}
-		}
-		if err == nil {
-			vm.steps += 3
-			r, ok := loadFast(vm.leafC(fr, &nodes[rn.a]), vm.leafC(fr, &nodes[rn.b]))
-			if !ok {
-				var cell *Value
-				if cell, err = resolveCell(vm.leafC(fr, &nodes[rn.a]),
-					vm.leafC(fr, &nodes[rn.b]), rn.pos); err == nil {
-					r = *cell
-				}
-			}
-			if err == nil {
-				var v Value
-				if v, err = binLeaves(cfg.BinOp(in.bop), l, r, in.pos); err == nil {
-					if in.dstGlobal {
-						vm.globals[in.slot] = v
-					} else {
-						fr.locals[in.slot] = v
-					}
-				}
-			}
-		}
-	}
-	if vm.prof != nil {
-		vm.prof.take(PathBaseline, vm.steps)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return pc + 1, nil
+	return resolveCell(*ptr, *idx, pos)
 }

@@ -73,11 +73,11 @@ type Intrinsic func(vm *VM, args []Value) (Value, error)
 
 // Config configures one run.
 type Config struct {
-	// Engine selects the execution engine: the fused/threaded bytecode VM
-	// (EngineFused, the zero value and default), the unfused enum-switch
-	// bytecode VM (EngineCompiled), or the reference tree-walking
-	// interpreter (EngineTree). The latter two are kept as differential
-	// oracles. All three produce bit-identical Results.
+	// Engine selects the execution engine: the bytecode VM with its fused
+	// fast path (EngineFused, the zero value and default), the bytecode
+	// VM's exact loop alone (EngineCompiled), or the reference
+	// tree-walking interpreter (EngineTree). The latter two are kept as
+	// differential oracles. All three produce bit-identical Results.
 	Engine Engine
 	// Seed drives the program-visible rand() builtin.
 	Seed int64
@@ -113,13 +113,14 @@ type Config struct {
 	// CountOps enables the per-opcode execution-frequency histogram
 	// (Result.OpCounts) on the bytecode engines, so fusion candidates are
 	// chosen from dispatch data. Ignored by the tree walker (no opcodes).
-	// Costs one nil check per dispatch when off.
+	// A counting run takes the exact loop throughout.
 	CountOps bool
 	// Profile enables the per-function, per-path-kind step profiler
 	// (Result.Profile). It attributes every VM step to a calling-context
 	// tree node, so Table 2 / Figure 4 overhead ratios decompose into
-	// baseline vs fast-path vs slow-path vs threshold work. Costs one
-	// nil check per instruction when off, a map-free array bump when on.
+	// baseline vs fast-path vs slow-path vs threshold work. A profiled
+	// run takes the exact loop throughout: a map-free array bump per
+	// instruction.
 	Profile bool
 }
 
@@ -180,10 +181,10 @@ type VM struct {
 	traceNext     int
 	prof          *profiler
 
-	engine Engine
-	code   *Compiled // bytecode form (EngineFused, EngineCompiled); shared, read-only
-	fret   Value     // fused-engine return-value slot (see retPC)
-	ops    []uint64  // per-opcode dispatch counts (Config.CountOps)
+	engine    Engine
+	code      *Compiled // bytecode form (EngineFused, EngineCompiled); shared, read-only
+	ops       []uint64  // per-opcode dispatch counts (Config.CountOps)
+	handovers uint64    // times exec's fast loop handed over to its exact loop
 
 	// Bump arenas for guest heap objects (vm.alloc): headers and cell
 	// slices are carved from chunks so allocation-heavy guests cost two
