@@ -39,7 +39,7 @@ type collectDoc struct {
 	// long tail churns — the paper's deployed-fleet shape).
 	ClientIDSpace uint64 `json:"client_id_space"`
 	CPUs          int    `json:"cpus"`
-	// Gomaxprocs is pinned to at least 8 (see BENCH_ingest.json): the
+	// Gomaxprocs is pinned to at least 8: the
 	// cells model many concurrent connections and sleeping clients,
 	// which need preemptive OS-thread interleaving even on narrow hosts.
 	Gomaxprocs int           `json:"gomaxprocs"`

@@ -14,7 +14,6 @@
 //	cbi-bench analyze      # sparse vs dense analysis engine (DESIGN.md §10)
 //	cbi-bench monitor      # live triage: snapshot latency, ingest overhead, identity
 //	cbi-bench quality      # ingest quality: engine overhead, sketch accuracy, anomaly latency
-//	cbi-bench ingest       # staged ring-buffer ingest vs sharded-mutex oracle, shed behavior
 //	cbi-bench collect      # federated collector tree: root throughput vs edges, spill recovery
 //	cbi-bench all          # everything above
 package main
@@ -127,7 +126,6 @@ func main() {
 		"fleet":      fleet,
 		"monitor":    monitorBench,
 		"quality":    qualityBench,
-		"ingest":     ingestBench,
 		"collect":    collectBench,
 		"table1":     table1,
 		"table2":     table2,

@@ -2,13 +2,12 @@
 // encoded run reports over HTTP — one per POST at /report, or many per
 // POST at /reports (report.EncodeBatch framing) — and serves a summary
 // at /stats. Ingest stripes across -shards mutexes hashed on run ID, so
-// concurrent submissions scale with cores. By default the handlers run
-// the staged hot path: decode + validate + enqueue into per-shard ring
-// buffers (-stage-ring slots each) drained by background folders; when
-// a ring stays full past -stage-wait the request is shed with 503 +
-// Retry-After instead of blocking (-staging=false restores the
-// synchronous fold-in-handler path). In aggregate mode it retains
-// only sufficient statistics, the §5 privacy posture. With -metrics (the default) it also serves
+// concurrent submissions scale with cores. The handlers run the staged
+// hot path: decode + validate + enqueue into per-shard ring buffers
+// (-stage-ring slots each) drained by background folders; when a ring
+// stays full past -stage-wait the request is shed with 503 +
+// Retry-After instead of blocking. In aggregate mode it retains only
+// sufficient statistics, the §5 privacy posture. With -metrics (the default) it also serves
 // Prometheus metrics at /metrics and a liveness/drain probe at /healthz;
 // -log-json emits one structured JSON event per accepted report.
 //
@@ -81,7 +80,6 @@ func main() {
 		counters   = flag.Int("counters", 0, "expected counter-vector length (0 accepts any)")
 		mode       = flag.String("mode", "store", "store | aggregate")
 		shards     = flag.Int("shards", 0, "ingest stripes, rounded up to a power of two (0 = NumCPU)")
-		staging    = flag.Bool("staging", true, "stage ingest through per-shard ring buffers with background folders (false = fold synchronously in the handlers)")
 		stageRing  = flag.Int("stage-ring", 0, "per-shard staging-ring capacity, rounded up to a power of two (0 = default 1024)")
 		stageWait  = flag.Duration("stage-wait", 0, "how long an enqueue waits for ring space before shedding 503 + Retry-After (0 = default 100ms, negative = shed immediately)")
 		metrics    = flag.Bool("metrics", true, "serve /metrics and /healthz")
@@ -136,9 +134,6 @@ func main() {
 	srv.ExposeTelemetry = *metrics
 	srv.EnablePprof = *pprof
 	srv.Shards = *shards
-	if !*staging {
-		srv.Staging = collect.StagingOff
-	}
 	srv.StageCapacity = *stageRing
 	srv.StageWait = *stageWait
 	switch *role {

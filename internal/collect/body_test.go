@@ -192,14 +192,22 @@ func TestReadBodyEdgeCases(t *testing.T) {
 	})
 }
 
+// deadlineRecorder takes a read deadline the way a connection's writer
+// does; a bare httptest.ResponseRecorder answers ErrNotSupported, and
+// building that error allocates.
+type deadlineRecorder struct{ *httptest.ResponseRecorder }
+
+func (deadlineRecorder) SetReadDeadline(time.Time) error { return nil }
+
 // TestReadLimitedAllocatesOnce: with an honest Content-Length the body
 // lands in one buffer of about its own size.
 func TestReadLimitedAllocatesOnce(t *testing.T) {
 	body := bytes.Repeat([]byte{0xab}, 25<<10)
 	var got []byte
+	rec := deadlineRecorder{httptest.NewRecorder()}
 	allocs := testing.AllocsPerRun(20, func() {
 		req := httptest.NewRequest(http.MethodPost, "/reports", bytes.NewReader(body))
-		got, _ = readLimited(req)
+		got, _ = readLimited(rec, req)
 	})
 	if !bytes.Equal(got, body) {
 		t.Fatal("body not read back intact")
@@ -211,5 +219,70 @@ func TestReadLimitedAllocatesOnce(t *testing.T) {
 	})
 	if allocs-base > 2 {
 		t.Errorf("readLimited made %.0f allocations for a body of known length, want at most 2", allocs-base)
+	}
+}
+
+// TestTricklingBodyMeetsTheReadDeadline: a sender that feeds its body a
+// byte at a time — every read makes progress, so no idle timer would
+// fire — is cut off at the deadline with a 400 counted reason="read",
+// and the collector serves the next connection as if nothing happened.
+func TestTricklingBodyMeetsTheReadDeadline(t *testing.T) {
+	old := bodyReadTimeout
+	bodyReadTimeout = 200 * time.Millisecond
+	defer func() { bodyReadTimeout = old }()
+	srv := NewServer("p", 3, StoreAll)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop() // before bodyReadTimeout is restored: no handler still reads it
+
+	for _, path := range []string{"/report", "/reports"} {
+		before := srv.m.rejectedRead.Value()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		t0 := time.Now()
+		if _, err := conn.Write([]byte("POST " + path + " HTTP/1.1\r\nHost: x\r\nContent-Length: 100000\r\n\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		go func() {
+			for {
+				select {
+				case <-stop:
+					return
+				case <-time.After(10 * time.Millisecond):
+					conn.Write([]byte{0}) // fails once the server hangs up; so be it
+				}
+			}
+		}()
+		reply, _ := io.ReadAll(conn)
+		close(stop)
+		conn.Close()
+		line, _, _ := strings.Cut(string(reply), "\r\n")
+		if !strings.Contains(line, "400") {
+			t.Errorf("%s: trickled body answered %q, want 400", path, line)
+		}
+		if took := time.Since(t0); took > 5*time.Second {
+			t.Errorf("%s: trickling POST held its connection for %v with a %v deadline", path, took, bodyReadTimeout)
+		}
+		if got := srv.m.rejectedRead.Value(); got != before+1 {
+			t.Errorf(`%s: collect_reports_rejected_total{reason="read"} = %d, want %d`, path, got, before+1)
+		}
+	}
+
+	resp, err := http.Post("http://"+addr+"/report", "application/octet-stream", bytes.NewReader(mkReport(1, false).Encode()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("report on a fresh connection: %s, want 202", resp.Status)
+	}
+	if got := srv.Aggregate().Runs; got != 1 {
+		t.Errorf("%d runs, want 1", got)
 	}
 }

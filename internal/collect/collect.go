@@ -11,12 +11,13 @@
 // one report per request (/report) or amortize the round-trip by
 // batching many reports into a single /reports request.
 //
-// By default HTTP ingest is additionally staged (see staging.go): the
-// handlers only decode, validate, and enqueue into per-shard ring
-// buffers, background folders do the folding in lock-amortized batches,
-// and overload is answered with 503 + Retry-After instead of unbounded
-// queueing. Set Staging to StagingOff for the synchronous fold-in-handler
-// path, which the staged pipeline is bit-identical to.
+// HTTP ingest is staged (see staging.go): both endpoints decode and hand
+// the request to one take-in function (takeIn) that validates it and
+// enqueues it into a ring buffer; background folders do the folding in
+// lock-amortized batches, and overload is answered with 503 +
+// Retry-After instead of unbounded queueing. The result is bit-identical
+// to a serial fold of the acknowledged reports, the oracle the tests
+// keep on their side.
 //
 // The server exposes the operational surface a deployed collector needs:
 // Prometheus metrics at /metrics, a liveness/drain signal at /healthz,
@@ -61,20 +62,6 @@ const (
 	// discards it (§5's privacy posture: a compromised collector cannot
 	// reveal any individual trace).
 	AggregateOnly
-)
-
-// Staging selects the ingest pipeline the HTTP handlers use.
-type Staging int
-
-const (
-	// StagingOn (the zero value) stages HTTP ingest through per-shard
-	// ring buffers drained by background folder goroutines; handlers
-	// only decode, validate, and enqueue.
-	StagingOn Staging = iota
-	// StagingOff folds synchronously inside the handler — the
-	// bit-identity oracle the staged pipeline is tested and benchmarked
-	// against.
-	StagingOff
 )
 
 // ShutdownTimeout bounds how long Stop waits for in-flight report POSTs
@@ -233,15 +220,10 @@ type Server struct {
 	// check when disabled.
 	Quality *quality.Engine
 
-	// Staging selects staged (default) or synchronous HTTP ingest; see
-	// staging.go. Direct Submit calls always fold synchronously either
-	// way. Set before the first submission or Handler call.
-	Staging Staging
-
 	// StageCapacity is the per-shard staging-ring size in reports,
 	// rounded up to a power of two (default 1024). A /reports batch
-	// larger than the ring bypasses staging and folds synchronously
-	// rather than being unconditionally shed.
+	// longer than the ring could never be reserved, so it alone is
+	// folded by its handler instead of being shed forever.
 	StageCapacity int
 
 	// StageWait bounds how long an enqueue waits for ring space before
@@ -289,11 +271,11 @@ type Server struct {
 	shardMask uint64
 	shards    []ingestShard
 
-	// Staged-ingest state (nil/zero when Staging is off); see staging.go.
+	// Staged-ingest state, allocated by init; see staging.go.
 	rings         []stageRing
 	stageCap      int
 	stageWaitFor  time.Duration
-	stageRR       atomic.Uint64 // round-robin ring cursor for batches
+	stageRR       atomic.Uint64 // round-robin ring cursor
 	stageStop     chan struct{}
 	stageStopOnce sync.Once
 	stageStopped  atomic.Bool
@@ -366,12 +348,10 @@ func (s *Server) init() {
 		// Recover persisted state before staging and the monitor exist:
 		// replay folds directly into the freshly allocated shards.
 		s.initSpill()
-		if s.Staging == StagingOn {
-			// Before the Monitor starts: its snapshot worker reaches the
-			// drain barrier through ScoreState, so the rings and folders
-			// must exist first.
-			s.initStaging()
-		}
+		// Before the Monitor starts: its snapshot worker reaches the drain
+		// barrier through ScoreState, so the rings and folders must exist
+		// first.
+		s.initStaging()
 		if s.Monitor != nil {
 			s.Monitor.Bind(s, s.reg)
 			s.Monitor.Start()
@@ -482,6 +462,10 @@ func (c *statusCapture) Write(b []byte) (int, error) {
 	return c.ResponseWriter.Write(b)
 }
 
+// Unwrap lets http.ResponseController reach the connection (readLimited
+// sets its read deadline).
+func (c *statusCapture) Unwrap() http.ResponseWriter { return c.ResponseWriter }
+
 func (c *statusCapture) Flush() {
 	if fl, ok := c.ResponseWriter.(http.Flusher); ok {
 		fl.Flush()
@@ -527,13 +511,27 @@ func (s *Server) countRequest(endpoint string, code int) {
 // arrives, so a header announcing 64 MiB that never come costs 4.
 const maxBodyPresize = 4 << 20
 
+// bodyReadTimeout bounds how long one request body may take to arrive —
+// the 30 s after which NewClient's transport gives up on the request
+// anyway — so a trickling sender cannot hold a handler for as long as it
+// likes. (A var only so a test can shorten it.)
+var bodyReadTimeout = 30 * time.Second
+
+// idleTimeout closes keep-alive connections that carry no request. The
+// server sets no ReadTimeout or WriteTimeout: /watch streams.
+const idleTimeout = 2 * time.Minute
+
 var errBodyTooLarge = fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes)
 
-// readLimited reads a request body of at most MaxBodyBytes, in one
-// buffer sized from Content-Length when the header is present (a header
-// that is absent or wrong falls back to a growing read). It returns
-// errBodyTooLarge, with what was read, for a longer body.
-func readLimited(r *http.Request) ([]byte, error) {
+// readLimited reads a request body of at most MaxBodyBytes within
+// bodyReadTimeout, in one buffer sized from Content-Length when the
+// header is present (a header that is absent or wrong falls back to a
+// growing read). It returns errBodyTooLarge, with what was read, for a
+// longer body.
+func readLimited(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	// Not every writer has a connection to set a deadline on
+	// (httptest.NewRecorder answers ErrNotSupported); those cannot trickle.
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	size := int64(0)
 	if r.ContentLength > 0 {
 		size = min(r.ContentLength, maxBodyPresize)
@@ -554,7 +552,7 @@ func readLimited(r *http.Request) ([]byte, error) {
 // with 413 instead of silently truncating them into a confusing decode
 // error. The bool result reports success.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, ingest *trace.Span) ([]byte, bool) {
-	body, err := readLimited(r)
+	body, err := readLimited(w, r)
 	if err == errBodyTooLarge {
 		s.m.rejectedSize.Inc()
 		s.Quality.ObserveRejected(quality.ReasonTooLarge, body)
@@ -575,25 +573,39 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, ingest *trace.
 	return body, true
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	s.Quality.ObserveEndpoint(false)
+// receive is the front both ingest endpoints share: POST only, continue
+// the client's trace across the wire (nil-safe throughout: with no
+// Tracer every span is nil and records nothing), read the body, decode
+// it. batches is what tells the endpoints apart: /reports takes the
+// batch framing (report.EncodeBatch) beside the plain single-report one,
+// so old clients can be pointed at it unchanged; to /report a batch body
+// is a decode error. When ok is false the request has been answered;
+// the caller ends the span either way.
+func (s *Server) receive(w http.ResponseWriter, r *http.Request, batches bool) (ingest *trace.Span, body []byte, reps []*report.Report, ok bool) {
+	s.Quality.ObserveEndpoint(batches)
 	if r.Method != http.MethodPost {
 		s.m.rejectedMethod.Inc()
 		s.Quality.ObserveRejected(quality.ReasonMethod, nil)
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return nil, nil, nil, false
 	}
-	// Continue the client's trace across the wire (nil-safe throughout:
-	// with no Tracer every span below is nil and records nothing).
-	ingest := s.Tracer.ContinueSpan("server.ingest", r.Header.Get(trace.Header))
-	defer ingest.End()
-	body, ok := s.readBody(w, r, ingest)
-	if !ok {
-		return
+	ingest = s.Tracer.ContinueSpan("server.ingest", r.Header.Get(trace.Header))
+	if body, ok = s.readBody(w, r, ingest); !ok {
+		return ingest, nil, nil, false
 	}
 	decodeSpan := ingest.StartChild("server.decode")
 	t0 := time.Now()
-	rep, err := report.DecodeShaped(body, int(s.shape.Load()))
+	var err error
+	// The decoder is told the counter space, so a frame claiming another
+	// is rejected before its vector exists; until an "accept any" server
+	// adopts a shape, only the format's own cap applies.
+	if shape := int(s.shape.Load()); batches && report.IsBatch(body) {
+		reps, err = report.DecodeBatchShaped(body, shape)
+	} else {
+		var rep *report.Report
+		rep, err = report.DecodeShaped(body, shape)
+		reps = []*report.Report{rep}
+	}
 	s.m.decodeSeconds.Observe(time.Since(t0).Seconds())
 	decodeSpan.End()
 	if err != nil {
@@ -601,72 +613,22 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.Quality.ObserveRejected(quality.ReasonDecode, body)
 		ingest.SetAttr("outcome", "rejected-decode")
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return ingest, nil, nil, false
+	}
+	return ingest, body, reps, true
+}
+
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	ingest, body, reps, ok := s.receive(w, r, false)
+	defer ingest.End()
+	if !ok {
 		return
 	}
+	rep := reps[0]
 	ingest.SetAttr("run_id", strconv.FormatUint(rep.RunID, 10))
-	if s.stagingActive() {
-		// Staged hot path: validate and enqueue; the shard folder does
-		// the fold. The 202 below is a durable accept — the drain
-		// barrier guarantees the report reaches every later snapshot.
-		if err := s.validate(rep); err != nil {
-			s.m.rejectedFold.Inc()
-			s.Quality.ObserveRejected(quality.ReasonFold, nil)
-			ingest.SetAttr("outcome", "rejected-fold")
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Build the sparse cache before the report crosses goroutines:
-		// Nonzeros mutates on first call, and after the enqueue both the
-		// handler (accounting) and the folder (fold) read the report.
-		rep.Nonzeros()
-		ring := &s.rings[s.shardIndex(rep.RunID)]
-		sp := s.spill
-		if sp != nil {
-			sp.gate.RLock()
-		}
-		ok := s.stageEnqueue(ring, []*report.Report{rep}, ingest)
-		var spErr error
-		if ok && sp != nil {
-			spErr = s.spillAppend(frameReport(body))
-		}
-		if sp != nil {
-			sp.gate.RUnlock()
-		}
-		if !ok {
-			s.shed(w, ingest, 1)
-			return
-		}
-		if spErr != nil {
-			s.spillFail(w, ingest, spErr)
-			return
-		}
-		s.accountAccepted(rep)
-	} else {
-		foldSpan := ingest.StartChild("server.fold")
-		sp := s.spill
-		if sp != nil {
-			sp.gate.RLock()
-		}
-		err = s.Submit(rep)
-		var spErr error
-		if err == nil && sp != nil {
-			spErr = s.spillAppend(frameReport(body))
-		}
-		if sp != nil {
-			sp.gate.RUnlock()
-		}
-		foldSpan.End()
-		if err != nil {
-			ingest.SetAttr("outcome", "rejected-fold")
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if spErr != nil {
-			s.spillFail(w, ingest, spErr)
-			return
-		}
+	if !s.takeIn(w, ingest, body, reps) {
+		return
 	}
-	ingest.SetAttr("outcome", "accepted")
 	if s.reg.LogEnabled() {
 		s.reg.Event("report_accepted", map[string]any{
 			"run_id": rep.RunID, "program": rep.Program,
@@ -676,8 +638,114 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 }
 
-// shed answers a request whose reports could not be enqueued before the
-// back-pressure deadline: 503 + Retry-After, counted per report in
+// handleReports ingests a batched payload in one round-trip.
+func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
+	ingest, body, reps, ok := s.receive(w, r, true)
+	defer ingest.End()
+	if !ok {
+		return
+	}
+	ingest.SetAttr("batch", strconv.Itoa(len(reps)))
+	if !s.takeIn(w, ingest, body, reps) {
+		return
+	}
+	s.m.batchesAccepted.Inc()
+	s.m.batchReportsIn.Add(uint64(len(reps)))
+	s.m.batchReports.Observe(float64(len(reps)))
+	if s.reg.LogEnabled() {
+		s.reg.Event("batch_accepted", map[string]any{
+			"reports": len(reps), "bytes": len(body),
+		})
+	}
+	w.WriteHeader(http.StatusAccepted)
+}
+
+// takeIn is the one way a decoded request enters the collector, a single
+// report being a batch of one. It validates the whole request before any
+// of it is taken, so a rejected request leaves no partial state behind
+// and concurrent batches never half-apply; reserves ring slots for all of
+// it in one atomic reservation on a round-robin ring (any ring is as good
+// as the run-ID shard: the statistics are order-free and snapshots merge
+// every shard, DESIGN §13); journals its frames; and only then does the
+// accept-time accounting. The spill gate is held from the reservation to
+// the journal append, so no snapshot cuts between them. It answers every
+// refusal itself — 400 (fold), 503 + Retry-After (shed), 500 (journal) —
+// and returns false; on true the caller owes the 202, which is a durable
+// accept: the drain barrier carries the request into every later
+// snapshot.
+func (s *Server) takeIn(w http.ResponseWriter, ingest *trace.Span, body []byte, reps []*report.Report) bool {
+	for _, rep := range reps {
+		if err := s.validate(rep); err != nil {
+			s.m.rejectedFold.Inc()
+			s.Quality.ObserveRejected(quality.ReasonFold, body)
+			ingest.SetAttr("outcome", "rejected-fold")
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return false
+		}
+		// Build the sparse cache before the report crosses goroutines:
+		// Nonzeros mutates on first call, and after the enqueue both this
+		// handler (accounting) and the folder (fold) read the report.
+		rep.Nonzeros()
+	}
+	if s.stageStopped.Load() {
+		// No acknowledgment after the drain: the folders are gone, the
+		// journal is closed and a federated edge has taken its final cut,
+		// so nothing would honour a 202. The sender retries elsewhere.
+		s.shed(w, ingest, len(reps))
+		return false
+	}
+	sp := s.spill
+	var frames []byte
+	if sp != nil {
+		// A batch body's frame region is byte-identical to the log framing
+		// and splices in verbatim; a plain single-report body gets one
+		// frame built around it.
+		var isBatch bool
+		if frames, isBatch = report.BatchFrames(body); !isBatch {
+			frames = frameReport(body)
+		}
+		sp.gate.RLock()
+	}
+	taken := true
+	if len(reps) <= s.stageCap {
+		taken = s.stageEnqueue(&s.rings[s.stageRR.Add(1)&s.shardMask], reps, ingest)
+	} else {
+		// The one inline fold: a batch longer than a ring could never be
+		// reserved, and shedding it would be shedding it forever.
+		foldSpan := ingest.StartChild("server.fold")
+		for _, rep := range reps {
+			if err := s.foldNow(rep); err != nil {
+				// Unreachable: every report was validated above.
+				panic(fmt.Sprintf("collect: inline fold: %v", err))
+			}
+		}
+		foldSpan.End()
+	}
+	var spErr error
+	if sp != nil {
+		if taken {
+			spErr = s.spillAppend(frames)
+		}
+		sp.gate.RUnlock()
+	}
+	if !taken {
+		s.shed(w, ingest, len(reps))
+		return false
+	}
+	if spErr != nil {
+		s.spillFail(w, ingest, spErr)
+		return false
+	}
+	for _, rep := range reps {
+		s.accountAccepted(rep)
+	}
+	ingest.SetAttr("outcome", "accepted")
+	return true
+}
+
+// shed answers a request that was not taken in — its reports found no
+// ring space before the back-pressure deadline, or arrived after the
+// drain: 503 + Retry-After, counted per report in
 // collect_reports_shed_total and observed by the quality engine as a
 // rejection (a shed storm trips the reject-surge anomaly). Shedding is
 // the overload contract — the collector refuses fast rather than
@@ -689,7 +757,7 @@ func (s *Server) shed(w http.ResponseWriter, ingest *trace.Span, reports int) {
 	}
 	ingest.SetAttr("outcome", "shed")
 	w.Header().Set("Retry-After", shedRetryAfter)
-	http.Error(w, "collector overloaded: staging rings full, retry later",
+	http.Error(w, "collector overloaded or draining, retry later",
 		http.StatusServiceUnavailable)
 }
 
@@ -706,16 +774,20 @@ func (s *Server) spillFail(w http.ResponseWriter, ingest *trace.Span, err error)
 }
 
 // accountAccepted records the accept-time metrics and quality
-// observations for one staged report. It runs in the handler after the
-// enqueue succeeds and before the 202, so client-visible accounting
-// (accepted counts, quarantine forensics, quality sketches) never lags
-// the acknowledgment; only fold latency and the monitor's fold
+// observations for one report, for takeIn and Submit alike. In takeIn it
+// runs after the journal append succeeds and before the 202, so
+// client-visible accounting (accepted counts, quarantine forensics,
+// quality sketches) never lags the acknowledgment and never counts a
+// request that was refused; only fold latency and the monitor's fold
 // notifications happen later, in the folder.
 func (s *Server) accountAccepted(rep *report.Report) {
 	s.m.accepted.Inc()
 	nz := rep.Nonzeros()
 	s.m.reportNonzeros.Observe(float64(len(nz)))
 	if wire := rep.WireLen(); wire > 0 {
+		// Per-report wire size (batch members individually; requests as a
+		// whole are collect_request_bytes). In-process submissions have no
+		// wire form and are skipped.
 		s.m.reportBytes.Observe(float64(wire))
 	}
 	if rep.Lenient() {
@@ -729,149 +801,6 @@ func (s *Server) accountAccepted(rep *report.Report) {
 		}
 		s.Quality.ObserveAccepted(rep.RunID, len(rep.Counters), rep.WireLen(), len(nz), total, rep.Crashed)
 	}
-}
-
-// handleReports ingests a batched payload (report.EncodeBatch) in one
-// round-trip. The batch is validated as a whole before any report is
-// folded, so a rejected batch leaves no partial state behind. A plain
-// single-report body is also accepted, so old clients can be pointed at
-// /reports unchanged.
-func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
-	s.Quality.ObserveEndpoint(true)
-	if r.Method != http.MethodPost {
-		s.m.rejectedMethod.Inc()
-		s.Quality.ObserveRejected(quality.ReasonMethod, nil)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	ingest := s.Tracer.ContinueSpan("server.ingest", r.Header.Get(trace.Header))
-	defer ingest.End()
-	body, ok := s.readBody(w, r, ingest)
-	if !ok {
-		return
-	}
-	decodeSpan := ingest.StartChild("server.decode")
-	t0 := time.Now()
-	var reps []*report.Report
-	var err error
-	// The decoder is told the counter space, so a frame claiming another
-	// is rejected before its vector exists; until an "accept any" server
-	// adopts a shape, only the format's own cap applies.
-	if shape := int(s.shape.Load()); report.IsBatch(body) {
-		reps, err = report.DecodeBatchShaped(body, shape)
-	} else {
-		var rep *report.Report
-		rep, err = report.DecodeShaped(body, shape)
-		reps = []*report.Report{rep}
-	}
-	s.m.decodeSeconds.Observe(time.Since(t0).Seconds())
-	decodeSpan.End()
-	if err != nil {
-		s.m.rejectedDecode.Inc()
-		s.Quality.ObserveRejected(quality.ReasonDecode, body)
-		ingest.SetAttr("outcome", "rejected-decode")
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ingest.SetAttr("batch", strconv.Itoa(len(reps)))
-	s.init()
-	// Validate the whole batch up front: shape and program mismatches
-	// reject everything, so concurrent batches never half-apply.
-	for _, rep := range reps {
-		if err := s.validate(rep); err != nil {
-			s.m.rejectedFold.Inc()
-			s.Quality.ObserveRejected(quality.ReasonFold, body)
-			ingest.SetAttr("outcome", "rejected-fold")
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	// Spill framing for the whole request: a batch body's frame region
-	// is byte-identical to the log framing and splices in verbatim; a
-	// plain single-report body gets one frame built around it.
-	var spFrames []byte
-	if s.spill != nil {
-		if fr, isBatch := report.BatchFrames(body); isBatch {
-			spFrames = fr
-		} else {
-			spFrames = frameReport(body)
-		}
-	}
-	if s.stagingActive() && len(reps) <= s.stageCap {
-		// Whole batch onto one round-robin ring in a single atomic
-		// reservation: all-or-nothing, one folder lock acquisition, and
-		// a shed batch can be retried wholesale. Any ring is as good as
-		// the run-ID shard — the statistics are order-free and snapshots
-		// merge every shard (DESIGN §13). Oversize batches (> ring
-		// capacity) fall through to the synchronous path below.
-		for _, rep := range reps {
-			// Pre-build each report's sparse cache: Nonzeros mutates on
-			// first call, and after the enqueue the report is shared
-			// with the folder goroutine.
-			rep.Nonzeros()
-		}
-		ring := &s.rings[s.stageRR.Add(1)&s.shardMask]
-		sp := s.spill
-		if sp != nil {
-			sp.gate.RLock()
-		}
-		ok := s.stageEnqueue(ring, reps, ingest)
-		var spErr error
-		if ok && sp != nil {
-			spErr = s.spillAppend(spFrames)
-		}
-		if sp != nil {
-			sp.gate.RUnlock()
-		}
-		if !ok {
-			s.shed(w, ingest, len(reps))
-			return
-		}
-		if spErr != nil {
-			s.spillFail(w, ingest, spErr)
-			return
-		}
-		for _, rep := range reps {
-			s.accountAccepted(rep)
-		}
-	} else {
-		foldSpan := ingest.StartChild("server.fold")
-		sp := s.spill
-		if sp != nil {
-			sp.gate.RLock()
-		}
-		var spErr error
-		for _, rep := range reps {
-			if err := s.Submit(rep); err != nil {
-				if sp != nil {
-					sp.gate.RUnlock()
-				}
-				foldSpan.End()
-				ingest.SetAttr("outcome", "rejected-fold")
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		if sp != nil {
-			spErr = s.spillAppend(spFrames)
-			sp.gate.RUnlock()
-		}
-		foldSpan.End()
-		if spErr != nil {
-			s.spillFail(w, ingest, spErr)
-			return
-		}
-	}
-	s.m.batchesAccepted.Inc()
-	s.m.batchReportsIn.Add(uint64(len(reps)))
-	s.m.batchReports.Observe(float64(len(reps)))
-	ingest.SetAttr("outcome", "accepted")
-	if s.reg.LogEnabled() {
-		s.reg.Event("batch_accepted", map[string]any{
-			"reports": len(reps), "bytes": len(body),
-		})
-	}
-	w.WriteHeader(http.StatusAccepted)
 }
 
 // Stats is the JSON summary served at /stats.
@@ -978,43 +907,32 @@ func (s *Server) validate(rep *report.Report) error {
 	return nil
 }
 
-// Submit folds a report into the server state directly (used by
-// in-process fleets and by the HTTP handlers). It records fold latency
-// and the accepted/rejected counters, so every ingestion path is
-// measured. Safe for concurrent use: reports stripe across shards by
-// run ID.
+// Submit folds a report into the server state directly, on the calling
+// goroutine (in-process fleets; the HTTP endpoints go through takeIn).
+// It records fold latency and the accepted/rejected counters, so every
+// ingestion path is measured. Safe for concurrent use: reports stripe
+// across shards by run ID.
 func (s *Server) Submit(rep *report.Report) error {
 	s.init()
-	t0 := time.Now()
-	err := s.fold(rep)
-	s.m.foldSeconds.Observe(time.Since(t0).Seconds())
-	nz := rep.Nonzeros()
-	s.m.reportNonzeros.Observe(float64(len(nz)))
-	if err != nil {
+	if err := s.foldNow(rep); err != nil {
 		s.m.rejectedFold.Inc()
 		s.Quality.ObserveRejected(quality.ReasonFold, nil)
 		return err
 	}
-	s.m.accepted.Inc()
-	if wire := rep.WireLen(); wire > 0 {
-		// Per-report wire size (batch members individually; requests as a
-		// whole are collect_request_bytes). In-process submissions have no
-		// wire form and are skipped.
-		s.m.reportBytes.Observe(float64(wire))
-	}
-	if rep.Lenient() {
-		s.m.quarantined.Inc()
-		s.Quality.ObserveQuarantined(rep.RunID, rep.WireLen())
-	}
-	if s.Quality != nil {
-		var total uint64
-		for _, c := range nz {
-			total += c.Value
-		}
-		s.Quality.ObserveAccepted(rep.RunID, len(rep.Counters), rep.WireLen(), len(nz), total, rep.Crashed)
-	}
-	s.Monitor.ReportFolded()
+	s.accountAccepted(rep)
 	return nil
+}
+
+// foldNow validates and folds one report under its run-ID shard's lock,
+// timed into collect_fold_seconds, and tells the monitor.
+func (s *Server) foldNow(rep *report.Report) error {
+	t0 := time.Now()
+	err := s.fold(rep)
+	s.m.foldSeconds.Observe(time.Since(t0).Seconds())
+	if err == nil {
+		s.Monitor.ReportFolded()
+	}
+	return err
 }
 
 func (s *Server) fold(rep *report.Report) error {
@@ -1029,8 +947,7 @@ func (s *Server) fold(rep *report.Report) error {
 
 // foldShardLocked folds one already-validated report into a shard's
 // aggregate, accumulator, and report store. The caller holds sh.mu —
-// the synchronous path takes it per report, the staged folder once per
-// drained batch.
+// fold takes it per report, the staged folder once per drained batch.
 func (s *Server) foldShardLocked(sh *ingestShard, rep *report.Report) error {
 	if err := sh.agg.Fold(rep); err != nil {
 		return err
@@ -1157,7 +1074,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.listener = ln
-	s.httpServer = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	s.httpServer = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second, IdleTimeout: idleTimeout}
 	go func() { _ = s.httpServer.Serve(ln) }()
 	s.health.Set(telemetry.HealthOK)
 	return ln.Addr().String(), nil

@@ -516,7 +516,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		s.rejectMerge(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readLimited(r)
+	body, err := readLimited(w, r)
 	if err == errBodyTooLarge {
 		s.rejectMerge(w, http.StatusRequestEntityTooLarge, err.Error())
 		return

@@ -12,7 +12,7 @@
 // state file is always a complete image.
 //
 // The ordering contract that makes recovery exact is a reader-writer
-// gate: HTTP handlers enqueue-then-append under gate.RLock, and a
+// gate: takeIn enqueues-then-appends under gate.RLock, and a
 // snapshot takes gate.Lock, runs the staging drain barrier, captures
 // the merged state, writes it, and only then compacts the log
 // (AggregateOnly mode). Holding the write gate across that whole
@@ -250,14 +250,15 @@ func (s *Server) replaySpillLog(sp *spillState) {
 	}
 }
 
-// spillAppend journals pre-framed report bytes. The caller holds
-// gate.RLock, so no snapshot can interleave between the staging enqueue
-// (or synchronous fold) and this append. One Write call per request
-// keeps concurrent appenders' frames contiguous (O_APPEND).
+// spillAppend journals pre-framed report bytes. The caller (takeIn)
+// holds gate.RLock, so no snapshot can interleave between the staging
+// enqueue and this append. One Write call per request keeps concurrent
+// appenders' frames contiguous (O_APPEND). A closed journal is an error
+// like any other: a request that raced Stop this far gets no 202.
 func (s *Server) spillAppend(frames []byte) error {
 	sp := s.spill
 	if sp.closed {
-		return nil
+		return os.ErrClosed
 	}
 	if _, err := sp.logF.Write(frames); err != nil {
 		return err

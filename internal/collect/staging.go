@@ -1,14 +1,16 @@
 // Staged ingest: the lock-free hot path between the HTTP handlers and
 // the shard folds.
 //
-// With Staging on (the default), /report and /reports handlers only
-// decode, validate, and enqueue into fixed-size per-shard MPSC ring
-// buffers — no mutex on the producer side. One background folder
-// goroutine per shard drains its ring in batches and performs the
-// agg/accum/DB folds under the shard lock, amortizing one lock
-// acquisition over a whole batch. The idiom is the biscuit kernel's
-// bounded circular trap buffer: a hot producer decoupled from a slower
-// consumer by atomic head/tail cursors over a power-of-two slot array.
+// The /report and /reports handlers only decode, validate, and enqueue
+// into fixed-size per-shard MPSC ring buffers — no mutex on the producer
+// side. One background folder goroutine per shard drains its ring in
+// batches and performs the agg/accum/DB folds under the shard lock,
+// amortizing one lock acquisition over a whole batch. The idiom is the
+// biscuit kernel's bounded circular trap buffer: a hot producer
+// decoupled from a slower consumer by atomic head/tail cursors over a
+// power-of-two slot array. There is one ring protocol, one producer
+// (takeIn) and one consumer loop; the only request folded by its handler
+// is a batch longer than a ring, which no reservation could ever hold.
 //
 // Under overload the ring applies back-pressure instead of growing:
 // producers spin briefly, then park in short sleeps up to StageWait,
@@ -21,6 +23,9 @@
 // published snapshot remains a serial fold of a definite report subset
 // (DESIGN §13 extends §11's argument). Reordering relative to arrival
 // is legal because the §2.5 feedback statistics are order-free.
+//
+// Once Stop or Crash has drained the rings nothing is acknowledged any
+// more: takeIn sheds whatever still arrives, exactly like overload.
 package collect
 
 import (
@@ -164,14 +169,6 @@ func (r *stageRing) pendingBefore(h uint64) bool { return r.folded.Load() < h }
 
 // ----------------------------------------------------------------------------
 // Server-side wiring
-
-// stagingActive reports whether handlers should enqueue rather than
-// fold inline. After Stop the folders are gone, so late handler calls
-// (tests driving a stopped server's Handler directly) fall back to the
-// synchronous path instead of stranding reports in the rings.
-func (s *Server) stagingActive() bool {
-	return s.rings != nil && !s.stageStopped.Load()
-}
 
 // initStaging allocates the rings and launches one folder per shard.
 // Called under initOnce, before the Monitor starts (its snapshot worker
@@ -375,12 +372,8 @@ func (s *Server) foldStagedMerged(sh *ingestShard, sc *folderScratch, items []st
 // Each published snapshot (Aggregate, DB, ScoreState, ScoreStateAndDB,
 // fresh /stats, /quality) is therefore a serial fold of a definite
 // subset of the accepted reports — exactly the reports whose 202 was
-// sent before the barrier, plus possibly some newer ones. No-op when
-// staging is off.
+// sent before the barrier, plus possibly some newer ones.
 func (s *Server) drainStaging() {
-	if s.rings == nil {
-		return
-	}
 	for i := range s.rings {
 		r := &s.rings[i]
 		h := r.head.Load()
@@ -400,9 +393,10 @@ func (s *Server) drainStaging() {
 
 // stopStaging drains the rings and retires the folder goroutines; part
 // of Stop, after the HTTP server has shut down (so no handler is still
-// enqueueing) and before the Monitor stops (folders notify it).
+// enqueueing) and before the Monitor stops (folders notify it). From the
+// moment the flag is set takeIn sheds instead of enqueueing.
 func (s *Server) stopStaging() {
-	if s.rings == nil {
+	if s.rings == nil { // Stop on a server that never initialised
 		return
 	}
 	s.stageStopOnce.Do(func() {

@@ -13,9 +13,9 @@ import "fmt"
 // structure) and touching the big per-counter arrays once per distinct
 // index per batch (instead of once per report).
 //
-// This is the fold-side payoff of staged ingest: a synchronous handler
-// folds reports one at a time because no batch exists, but a background
-// folder drains whole batches and can amortize them here.
+// This is the fold-side payoff of staged ingest: a handler folding its
+// own request sees one report at a time, but a background folder drains
+// whole batches and can amortize them here.
 //
 // Not safe for concurrent use; each folder owns one BatchStats and
 // reuses it across batches (Reset is O(touched), not O(counter space)).
