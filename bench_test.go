@@ -206,10 +206,10 @@ func bcFleet(b *testing.B) (*report.DB, []bool) {
 
 func BenchmarkBCRegressionTraining(b *testing.B) {
 	db, keep := bcFleet(b)
-	ds := logreg.BuildDataset(db.Reports, keep)
+	ds := logreg.BuildSparseDataset(db.Reports, keep)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := logreg.Train(ds, logreg.TrainConfig{Lambda: 0.1, StepSize: 1e-2, Epochs: 10, Seed: int64(i)})
+		m := logreg.TrainSparse(ds, logreg.TrainConfig{Lambda: 0.1, StepSize: 1e-2, Epochs: 10, Seed: int64(i)})
 		if len(m.TopFeatures(5)) == 0 {
 			b.Fatal("no features")
 		}

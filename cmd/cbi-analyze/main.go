@@ -41,7 +41,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrent fleet runs (0 = NumCPU; results are identical at any worker count)")
 		batch    = flag.Int("batch", 1, "with -submit, buffer this many reports per POST to /reports (1 = one /report POST per run)")
 		topK     = flag.Int("top", 5, "ranked predicates to show (bc)")
-		analysis = flag.String("analysis", "sparse", "bc regression engine: sparse (CSR + lazy-l1, parallel CV) | dense (the differential oracle; bit-identical model)")
 		submit   = flag.String("submit", "", "also submit every fleet report to this collection server base URL (ccrypt)")
 		traceOut = flag.String("trace-out", "", "record one distributed trace per fleet run and write them to this file (.json Chrome trace-event, .jsonl span records)")
 		timing   = flag.Bool("timing", true, "print the per-stage span timing summary")
@@ -126,12 +125,9 @@ func main() {
 			fmt.Printf("%2d. importance=%.3f increase=%.3f  %s\n", i+1, p.Importance, p.Increase, p.Name)
 		}
 	case "bc":
-		if *analysis != "sparse" && *analysis != "dense" {
-			fatal(fmt.Errorf("unknown -analysis %q (want sparse or dense)", *analysis))
-		}
 		s, err := core.RunBCStudy(core.BCStudyConfig{
 			Runs: *runs, Density: *density, Seed: *seed, TopK: *topK,
-			Workers: *workers, Tracer: tracer, DenseAnalysis: *analysis == "dense",
+			Workers: *workers, Tracer: tracer,
 		})
 		if err != nil {
 			fatal(err)

@@ -11,11 +11,9 @@
 //	cbi-bench adaptive     # multi-round adaptive isolation (§3.1.2 ext.)
 //	cbi-bench ablation     # design-choice ablations (DESIGN.md §5)
 //	cbi-bench profile      # where Table 2's cycles go, per path kind
-//	cbi-bench analyze      # sparse vs dense analysis engine (DESIGN.md §10)
-//	cbi-bench monitor      # live triage: snapshot latency, ingest overhead, identity
-//	cbi-bench quality      # ingest quality: engine overhead, sketch accuracy, anomaly latency
+//	cbi-bench fleet        # fleet/ingest scaling and engine speedups (BENCH_fleet.json)
 //	cbi-bench collect      # federated collector tree: root throughput vs edges, spill recovery
-//	cbi-bench all          # everything above
+//	cbi-bench all          # the eleven paper experiments, table1 through profile (the default)
 package main
 
 import (
@@ -42,11 +40,10 @@ var (
 	bcDensity = flag.Float64("bc-density", 1.0/10, "sampling density for bc (scaled to the workload's dynamic site count; see EXPERIMENTS.md)")
 	wall      = flag.Bool("wall", true, "also report wall-clock ratios in table2/fig4")
 	workers   = flag.Int("workers", 0, "concurrent fleet runs (0 = NumCPU; fleet results are identical at any worker count)")
-	benchOut  = flag.String("bench-out", "", "where the fleet/analyze subcommands write their measured speedups (default: BENCH_fleet.json / BENCH_analysis.json per subcommand)")
+	benchOut  = flag.String("bench-out", "", "where the fleet/collect subcommands write their measurements (default: BENCH_fleet.json / BENCH_collect.json per subcommand)")
 )
 
-// benchOutPath resolves -bench-out against a subcommand's own default,
-// so one `cbi-bench all` run cannot clobber another subcommand's file.
+// benchOutPath resolves -bench-out against a subcommand's own default.
 func benchOutPath(def string) string {
 	if *benchOut != "" {
 		return *benchOut
@@ -60,9 +57,8 @@ func benchOutPath(def string) string {
 // with an oracle, a bound held, an anomaly caught), so any false flag
 // means the measurement is reporting a violation and the subcommand
 // exits non-zero — the artifact is still on disk for debugging, but CI
-// fails even if nothing reads the JSON. Fields whose false state is
-// informational rather than a failure are listed in exempt.
-func writeBenchDoc(def string, doc any, exempt ...string) error {
+// fails even if nothing reads the JSON.
+func writeBenchDoc(def string, doc any) error {
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
@@ -72,16 +68,12 @@ func writeBenchDoc(def string, doc any, exempt ...string) error {
 		return err
 	}
 	fmt.Println("\nmeasurements written to", outPath)
-	return gateDocFlags(out, outPath, exempt)
+	return gateDocFlags(out, outPath)
 }
 
 // gateDocFlags re-decodes the marshaled doc and collects the JSON path
-// of every false boolean not named in exempt.
-func gateDocFlags(raw []byte, outPath string, exempt []string) error {
-	skip := make(map[string]bool, len(exempt))
-	for _, f := range exempt {
-		skip[f] = true
-	}
+// of every false boolean.
+func gateDocFlags(raw []byte, outPath string) error {
 	var doc any
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return err
@@ -93,7 +85,7 @@ func gateDocFlags(raw []byte, outPath string, exempt []string) error {
 		case map[string]any:
 			for k, val := range x {
 				if b, ok := val.(bool); ok {
-					if !b && !skip[k] {
+					if !b {
 						falseFlags = append(falseFlags, path+"."+k)
 					}
 					continue
@@ -122,10 +114,7 @@ func main() {
 	}
 	cmds := map[string]func() error{
 		"adaptive":   adaptive,
-		"analyze":    analyze,
 		"fleet":      fleet,
-		"monitor":    monitorBench,
-		"quality":    qualityBench,
 		"collect":    collectBench,
 		"table1":     table1,
 		"table2":     table2,
@@ -139,7 +128,7 @@ func main() {
 		"profile":    profile,
 	}
 	if cmd == "all" {
-		for _, name := range []string{"table1", "table2", "selective", "confidence", "ccrypt", "fig2", "bc", "fig4", "adaptive", "ablation", "profile", "analyze"} {
+		for _, name := range []string{"table1", "table2", "selective", "confidence", "ccrypt", "fig2", "bc", "fig4", "adaptive", "ablation", "profile"} {
 			if err := cmds[name](); err != nil {
 				fatal(err)
 			}

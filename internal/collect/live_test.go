@@ -15,8 +15,10 @@ import (
 	"time"
 
 	"cbi/internal/analysis/score"
+	"cbi/internal/instrument"
 	"cbi/internal/monitor"
 	"cbi/internal/report"
+	"cbi/internal/workloads"
 )
 
 // liveReport builds a sparse synthetic report in an n-counter space.
@@ -212,8 +214,29 @@ func TestLiveRankingsDuringConcurrentIngest(t *testing.T) {
 }
 
 // TestStatsIncludesTriageFields: /stats carries the live-triage summary
-// when a monitor is attached (and zero values when not).
+// when a monitor is attached (and zero values when not) — not converged
+// after one snapshot, converged the moment a real sampled ccrypt fleet
+// has held its top-10 for three snapshots, with the planted bug on top.
 func TestStatsIncludesTriageFields(t *testing.T) {
+	type stats struct {
+		Runs              int   `json:"runs"`
+		RankingsSnapshots int   `json:"rankings_snapshots"`
+		LastSnapshotUnix  int64 `json:"last_snapshot_unix"`
+		Converged         bool  `json:"converged"`
+	}
+	getStats := func(addr string) (st stats) {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
 	srv := NewServer("p", 3, AggregateOnly)
 	srv.Monitor = monitor.New(monitor.Config{TopK: 3, EveryReports: 0})
 	addr, err := srv.Start("127.0.0.1:0")
@@ -228,25 +251,58 @@ func TestStatsIncludesTriageFields(t *testing.T) {
 	}
 	srv.Monitor.Snapshot()
 
-	resp, err := http.Get("http://" + addr + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Runs              int   `json:"runs"`
-		RankingsSnapshots int   `json:"rankings_snapshots"`
-		LastSnapshotUnix  int64 `json:"last_snapshot_unix"`
-		Converged         bool  `json:"converged"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := getStats(addr)
 	if st.Runs != 1 || st.RankingsSnapshots != 1 || st.LastSnapshotUnix == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.Converged {
 		t.Fatal("one snapshot must not be converged")
+	}
+
+	// The ccrypt fleet, one forced snapshot per 100 reports so the
+	// convergence point is a property of the report stream alone.
+	built, err := workloads.BuildCcrypt(instrument.SchemeSet{Returns: true}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := workloads.CcryptFleet(built.Program, workloads.FleetConfig{Runs: 2000, Density: 1.0 / 100, SeedBase: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := NewServer("ccrypt", built.Program.NumCounters, AggregateOnly)
+	cc.Sites = monitor.ManifestOf("ccrypt", built.Program).Spans()
+	cc.Monitor = monitor.New(monitor.Config{TopK: 10, StableFor: 3})
+	ccAddr, err := cc.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Stop()
+	var atRuns, atSeq int
+	var ok bool
+	for i, rep := range db.Reports {
+		if err := cc.Submit(rep); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%100 == 0 {
+			cc.Monitor.Snapshot()
+			if atRuns, atSeq, _, ok = cc.Monitor.Convergence(); ok {
+				break
+			}
+		}
+	}
+	if !ok {
+		t.Fatalf("ccrypt top-10 never held for 3 snapshots in %d reports", len(db.Reports))
+	}
+	t.Logf("ccrypt rankings converged at %d reports (snapshot %d)", atRuns, atSeq)
+	top := cc.Monitor.Current().Top
+	if len(top) == 0 {
+		t.Fatal("converged on an empty ranking")
+	}
+	if name := built.Program.PredicateName(top[0].Counter); !strings.Contains(name, "xreadline() return value == 0") {
+		t.Fatalf("top predicate is %q, not the planted xreadline bug", name)
+	}
+	if st := getStats(ccAddr); !st.Converged || st.Runs != atRuns {
+		t.Fatalf("ccrypt stats = %+v, want converged at %d runs", st, atRuns)
 	}
 }
 

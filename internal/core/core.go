@@ -178,12 +178,6 @@ type BCStudyConfig struct {
 	Lambdas []float64 // cross-validated; default {0.05, 0.1, 0.3, 1.0}
 	Epochs  int
 	TopK    int
-	// DenseAnalysis selects the dense O(features)-per-sample analysis
-	// pipeline instead of the default sparse CSR one. The two produce
-	// bit-identical models (the dense path is kept as the differential
-	// oracle — see DESIGN §10); dense exists for verification and
-	// benchmarking, not for production use.
-	DenseAnalysis bool
 	// Submit and Tracer mirror CcryptStudyConfig: optional report
 	// forwarding and per-run distributed tracing.
 	Submit func(context.Context, *report.Report) error
@@ -229,21 +223,11 @@ func RunBCStudy(conf BCStudyConfig) (*BCStudy, error) {
 	regressSpan := telemetry.StartSpan("study.regress")
 	trainR, cvR, testR := logreg.Split(db.Reports, 0.62, 0.07, conf.Seed+1)
 	tc := logreg.TrainConfig{StepSize: 1e-2, Epochs: conf.Epochs, Seed: conf.Seed + 2, Workers: conf.Workers}
-	var lambda, testAcc float64
-	var model *logreg.Model
-	if conf.DenseAnalysis {
-		train := logreg.BuildDataset(trainR, keep)
-		cv := train.Project(cvR)
-		test := train.Project(testR)
-		lambda, model = logreg.CrossValidate(train, cv, conf.Lambdas, tc)
-		testAcc = model.Accuracy(test)
-	} else {
-		train := logreg.BuildSparseDataset(trainR, keep)
-		cv := train.Project(cvR)
-		test := train.Project(testR)
-		lambda, model = logreg.CrossValidateSparse(train, cv, conf.Lambdas, tc)
-		testAcc = model.AccuracySparse(test)
-	}
+	train := logreg.BuildSparseDataset(trainR, keep)
+	cv := train.Project(cvR)
+	test := train.Project(testR)
+	lambda, model := logreg.CrossValidateSparse(train, cv, conf.Lambdas, tc)
+	testAcc := model.AccuracySparse(test)
 	regressSpan.End()
 
 	study := &BCStudy{

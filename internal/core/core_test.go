@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"cbi/internal/analysis/elim"
+	"cbi/internal/analysis/logreg"
 	"cbi/internal/instrument"
+	"cbi/internal/report"
 )
 
 // The §3.2 reproduction: fuzz ccrypt with sampled returns-scheme
@@ -251,34 +254,51 @@ func TestStudySurvivorNamesCarryPositions(t *testing.T) {
 	}
 }
 
-// The default sparse analysis path must reproduce the dense oracle's
-// study bit for bit: same cross-validated lambda, coefficients, ranking,
-// and test accuracy.
+// The sparse analysis RunBCStudy ships must reproduce the dense oracle
+// bit for bit: same cross-validated lambda, coefficients, ranking, and
+// test accuracy. The dense side is computed here, from the study's own
+// reports, with the recipe RunBCStudy uses.
 func TestBCStudySparseMatchesDenseOracle(t *testing.T) {
-	conf := BCStudyConfig{Runs: 600, Density: 1.0 / 10, Seed: 31, Epochs: 15, Workers: 2}
+	conf := BCStudyConfig{
+		Runs: 600, Density: 1.0 / 10, Seed: 31, Epochs: 15, Workers: 2,
+		Lambdas: []float64{0.05, 0.1, 0.3, 1.0}, TopK: 5,
+	}
 	sparse, err := RunBCStudy(conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf.DenseAnalysis = true
-	conf.Workers = 1
-	dense, err := RunBCStudy(conf)
-	if err != nil {
+
+	agg := report.NewAggregate("bc", sparse.Program.NumCounters)
+	if err := agg.FromDB(sparse.DB); err != nil {
 		t.Fatal(err)
 	}
-	if sparse.Lambda != dense.Lambda {
-		t.Errorf("lambda %g != %g", sparse.Lambda, dense.Lambda)
+	keep := elim.UniversalFalsehood(agg)
+	trainR, cvR, testR := logreg.Split(sparse.DB.Reports, 0.62, 0.07, conf.Seed+1)
+	train := logreg.BuildDataset(trainR, keep)
+	lambda, dense := logreg.CrossValidate(train, train.Project(cvR), conf.Lambdas,
+		logreg.TrainConfig{StepSize: 1e-2, Epochs: conf.Epochs, Seed: conf.Seed + 2, Workers: 1})
+
+	if sparse.Lambda != lambda {
+		t.Errorf("lambda %g != %g", sparse.Lambda, lambda)
 	}
-	if sparse.Model.Beta0 != dense.Model.Beta0 || !reflect.DeepEqual(sparse.Model.Beta, dense.Model.Beta) {
+	if sparse.Model.Beta0 != dense.Beta0 || !reflect.DeepEqual(sparse.Model.Beta, dense.Beta) {
 		t.Error("models differ")
 	}
-	if sparse.TestAccuracy != dense.TestAccuracy {
-		t.Errorf("test accuracy %v != %v", sparse.TestAccuracy, dense.TestAccuracy)
+	if acc := dense.Accuracy(train.Project(testR)); sparse.TestAccuracy != acc {
+		t.Errorf("test accuracy %v != %v", sparse.TestAccuracy, acc)
 	}
-	if !reflect.DeepEqual(sparse.Top, dense.Top) {
-		t.Errorf("rankings differ:\n%+v\n%+v", sparse.Top, dense.Top)
+	var top []RankedPredicate
+	for _, r := range dense.TopFeatures(conf.TopK) {
+		top = append(top, RankedPredicate{Counter: r.Counter, Name: sparse.Program.PredicateName(r.Counter), Beta: r.Beta})
 	}
-	if sparse.SmokingGunRank != dense.SmokingGunRank {
+	if !reflect.DeepEqual(sparse.Top, top) {
+		t.Errorf("rankings differ:\n%+v\n%+v", sparse.Top, top)
+	}
+	gun := sparse.smokingGunCounter()
+	if gun < 0 {
+		t.Fatal("no smoking-gun counter in the bc site table")
+	}
+	if sparse.SmokingGunRank != dense.Rank(gun) {
 		t.Error("smoking-gun rank differs")
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"cbi/internal/instrument"
+	"cbi/internal/workloads"
 )
 
 // rankError scores estimate est for target quantile p against the sorted
@@ -38,7 +41,10 @@ func exactQuantile(sorted []float64, p float64) float64 {
 // streams; n=100 gets slack because five markers can't do better. P²
 // interpolates between markers, so on discrete or bimodal data the
 // estimate can land a hair off a tie plateau — a large rank error but a
-// negligible value error. Either metric within bound passes.
+// negligible value error. Either metric within bound passes. The last
+// two streams are what the engine actually sketches — wire bytes and
+// non-zero counters per report of a sampled ccrypt fleet — tied and
+// discrete in ways the generators above are not.
 func TestP2AccuracyProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	streams := map[string]func() float64{
@@ -54,33 +60,55 @@ func TestP2AccuracyProperty(t *testing.T) {
 			return 1000 + rng.Float64()*100
 		},
 	}
-	for name, gen := range streams {
-		for _, n := range []int{100, 5_000, 50_000} {
-			sk := NewQuantileSketch()
-			data := make([]float64, n)
-			for i := range data {
-				data[i] = gen()
-				sk.Observe(data[i])
-			}
-			sort.Float64s(data)
-			bound := 0.05
-			if n < 1000 {
-				bound = 0.10
-			}
-			for _, p := range SketchQuantiles {
-				est := sk.Quantile(p)
-				rErr := rankError(data, est, p)
-				exact := exactQuantile(data, p)
-				// Normalize value error by the data range: bimodal gaps make
-				// ratios to the exact quantile meaningless near the low mode.
-				vErr := math.Abs(est-exact) / math.Max(data[n-1]-data[0], 1e-9)
-				if rErr > bound && vErr > 0.05 {
-					t.Errorf("%s n=%d p=%.2f: rank error %.4f > %.2f and value error %.4f > 0.05 (estimate %.2f, exact %.2f)",
-						name, n, p, rErr, bound, vErr, est, exact)
-				}
+	check := func(name string, data []float64) {
+		sk := NewQuantileSketch()
+		for _, x := range data {
+			sk.Observe(x)
+		}
+		n := len(data)
+		sort.Float64s(data)
+		bound := 0.05
+		if n < 1000 {
+			bound = 0.10
+		}
+		for _, p := range SketchQuantiles {
+			est := sk.Quantile(p)
+			rErr := rankError(data, est, p)
+			exact := exactQuantile(data, p)
+			// Normalize value error by the data range: bimodal gaps make
+			// ratios to the exact quantile meaningless near the low mode.
+			vErr := math.Abs(est-exact) / math.Max(data[n-1]-data[0], 1e-9)
+			if rErr > bound && vErr > 0.05 {
+				t.Errorf("%s n=%d p=%.2f: rank error %.4f > %.2f and value error %.4f > 0.05 (estimate %.2f, exact %.2f)",
+					name, n, p, rErr, bound, vErr, est, exact)
 			}
 		}
 	}
+	for name, gen := range streams {
+		for _, n := range []int{100, 5_000, 50_000} {
+			data := make([]float64, n)
+			for i := range data {
+				data[i] = gen()
+			}
+			check(name, data)
+		}
+	}
+
+	built, err := workloads.BuildCcrypt(instrument.SchemeSet{Returns: true}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := workloads.CcryptFleet(built.Program, workloads.FleetConfig{Runs: 2000, Density: 1.0 / 100, SeedBase: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wires, nonzeros []float64
+	for _, rep := range db.Reports {
+		wires = append(wires, float64(len(rep.Encode())))
+		nonzeros = append(nonzeros, float64(len(rep.Nonzeros())))
+	}
+	check("ccrypt report bytes", wires)
+	check("ccrypt report nonzeros", nonzeros)
 }
 
 func TestP2SmallStreams(t *testing.T) {

@@ -47,6 +47,9 @@ func TestSpaceSavingGuarantees(t *testing.T) {
 		if h.Count-h.MaxError > truth {
 			t.Errorf("key %s: estimate %d - maxError %d > true %d", key, h.Count, h.MaxError, truth)
 		}
+		if h.Count >= truth && h.Count-truth > bound {
+			t.Errorf("key %s: estimate %d overshoots true %d by more than N/m %d", key, h.Count, truth, bound)
+		}
 	}
 }
 
