@@ -1,16 +1,17 @@
 package cbi_test
 
-// One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the transformation's design choices. Run with:
+// One benchmark per table and figure of the paper's evaluation except
+// Table 2, plus ablation benches for the transformation's design
+// choices. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Wall-clock ratios between the sub-benchmarks of BenchmarkTable2Overhead
-// and BenchmarkFig4BCOverhead are the measured analogues of the paper's
-// Table 2 and Figure 4; cmd/cbi-bench prints them as formatted tables.
+// Table 2's wall-clock ratios are bench/'s table2_vm workload (medians
+// and an oracle per cell); the ratios between BenchmarkFig4BCOverhead's
+// sub-benchmarks are the measured analogue of Figure 4. cmd/cbi-bench
+// prints both as formatted tables.
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -37,58 +38,6 @@ func BenchmarkTable1StaticMetrics(b *testing.B) {
 		}
 		if len(rows) != 13 {
 			b.Fatal("rows")
-		}
-	}
-}
-
-// ----------------------------------------------------------------------------
-// Table 2: wall-clock per benchmark per configuration. The ratio of the
-// "always"/"dXXX" sub-benchmarks to "baseline" is the Table 2 cell.
-
-var table2Programs sync.Map // name/config -> *workloads.Built
-
-func table2Prog(b *testing.B, name, config string) *workloads.Built {
-	key := name + "/" + config
-	if v, ok := table2Programs.Load(key); ok {
-		return v.(*workloads.Built)
-	}
-	var built *workloads.Built
-	var err error
-	switch config {
-	case "baseline":
-		built, err = workloads.BuildBenchmark(name, instrument.SchemeSet{}, false)
-	case "always":
-		built, err = workloads.BuildBenchmark(name, instrument.SchemeSet{Bounds: true}, false)
-	default: // sampled
-		built, err = workloads.BuildBenchmark(name, instrument.SchemeSet{Bounds: true}, true)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	table2Programs.Store(key, built)
-	return built
-}
-
-func BenchmarkTable2Overhead(b *testing.B) {
-	densities := map[string]float64{"baseline": 0, "always": 0, "d100": 1.0 / 100, "d1000": 1.0 / 1000, "d1e6": 1.0 / 1e6}
-	order := []string{"baseline", "always", "d100", "d1000", "d1e6"}
-	for _, w := range workloads.All() {
-		for _, config := range order {
-			b.Run(fmt.Sprintf("%s/%s", w.Name, config), func(b *testing.B) {
-				built := table2Prog(b, w.Name, config)
-				d := densities[config]
-				var steps uint64
-				for i := 0; i < b.N; i++ {
-					res := interp.Run(built.Program, interp.Config{
-						Seed: 1, Density: d, CountdownSeed: int64(i),
-					})
-					if res.Outcome != interp.OutcomeOK {
-						b.Fatalf("crash: %v", res.Trap)
-					}
-					steps = res.Steps
-				}
-				b.ReportMetric(float64(steps), "vmsteps/op")
-			})
 		}
 	}
 }
@@ -446,15 +395,6 @@ func BenchmarkCcryptRunStartup(b *testing.B) {
 		}).Steps
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/run")
-}
-
-func BenchmarkGeometricCountdown(b *testing.B) {
-	g := sampler.NewGeometric(1, 1.0/1000)
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += g.Next()
-	}
-	_ = sink
 }
 
 func BenchmarkStatsRunsNeeded(b *testing.B) {

@@ -11,18 +11,13 @@
 //	cbi-bench adaptive     # multi-round adaptive isolation (§3.1.2 ext.)
 //	cbi-bench ablation     # design-choice ablations (DESIGN.md §5)
 //	cbi-bench profile      # where Table 2's cycles go, per path kind
-//	cbi-bench fleet        # fleet/ingest scaling and engine speedups (BENCH_fleet.json)
-//	cbi-bench collect      # federated collector tree: root throughput vs edges, spill recovery
-//	cbi-bench all          # the eleven paper experiments, table1 through profile (the default)
+//	cbi-bench all          # all eleven, table1 through profile (the default)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 
 	"cbi/internal/core"
 	"cbi/internal/instrument"
@@ -39,72 +34,8 @@ var (
 	density   = flag.Float64("density", 1.0/100, "sampling density for ccrypt")
 	bcDensity = flag.Float64("bc-density", 1.0/10, "sampling density for bc (scaled to the workload's dynamic site count; see EXPERIMENTS.md)")
 	wall      = flag.Bool("wall", true, "also report wall-clock ratios in table2/fig4")
-	workers   = flag.Int("workers", 0, "concurrent fleet runs (0 = NumCPU; fleet results are identical at any worker count)")
-	benchOut  = flag.String("bench-out", "", "where the fleet/collect subcommands write their measurements (default: BENCH_fleet.json / BENCH_collect.json per subcommand)")
+	workers   = flag.Int("workers", 0, "concurrent runs in the ccrypt, fig2, bc and adaptive studies (0 = NumCPU; results are identical at any worker count)")
 )
-
-// benchOutPath resolves -bench-out against a subcommand's own default.
-func benchOutPath(def string) string {
-	if *benchOut != "" {
-		return *benchOut
-	}
-	return def
-}
-
-// writeBenchDoc marshals a subcommand's measurement doc, writes it to
-// the resolved BENCH_*.json path, and then gates on the doc itself:
-// every boolean in these documents asserts an invariant (bit-identity
-// with an oracle, a bound held, an anomaly caught), so any false flag
-// means the measurement is reporting a violation and the subcommand
-// exits non-zero — the artifact is still on disk for debugging, but CI
-// fails even if nothing reads the JSON.
-func writeBenchDoc(def string, doc any) error {
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	outPath := benchOutPath(def)
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("\nmeasurements written to", outPath)
-	return gateDocFlags(out, outPath)
-}
-
-// gateDocFlags re-decodes the marshaled doc and collects the JSON path
-// of every false boolean.
-func gateDocFlags(raw []byte, outPath string) error {
-	var doc any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return err
-	}
-	var falseFlags []string
-	var walk func(path string, v any)
-	walk = func(path string, v any) {
-		switch x := v.(type) {
-		case map[string]any:
-			for k, val := range x {
-				if b, ok := val.(bool); ok {
-					if !b {
-						falseFlags = append(falseFlags, path+"."+k)
-					}
-					continue
-				}
-				walk(path+"."+k, val)
-			}
-		case []any:
-			for i, val := range x {
-				walk(fmt.Sprintf("%s[%d]", path, i), val)
-			}
-		}
-	}
-	walk("", doc)
-	if len(falseFlags) > 0 {
-		sort.Strings(falseFlags)
-		return fmt.Errorf("%s: gate flag(s) false: %s", outPath, strings.Join(falseFlags, ", "))
-	}
-	return nil
-}
 
 func main() {
 	flag.Parse()
@@ -114,8 +45,6 @@ func main() {
 	}
 	cmds := map[string]func() error{
 		"adaptive":   adaptive,
-		"fleet":      fleet,
-		"collect":    collectBench,
 		"table1":     table1,
 		"table2":     table2,
 		"selective":  selective,

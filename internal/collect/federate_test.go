@@ -2,7 +2,9 @@ package collect
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"cbi/internal/analysis/score"
+	"cbi/internal/quality"
 	"cbi/internal/report"
 )
 
@@ -29,12 +32,45 @@ func newTestEdge(t *testing.T, rootAddr, edgeID string) *Server {
 	return edge
 }
 
+// handlerTransport hands a Client's requests straight to a handler, so a
+// submitter knows which batches were acknowledged: no socket can fail
+// between the server's 202 and the caller.
+type handlerTransport struct{ h http.Handler }
+
+func (tr handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	tr.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
 // TestFederatedTreeMatchesSerialFold is the core merge-legality check:
 // two edges ingesting disjoint report streams and pushing delta merges
 // over several epochs leave the root bit-identical to one collector
-// folding the union serially.
+// folding the union serially. The overload row feeds the same tree the
+// way a fleet does — concurrent batched submitters retrying 503s from
+// staging rings smaller than the traffic in flight, garbage bodies in
+// between — and also requires every rejection an edge recorded to reach
+// the root through the quality-digest deltas.
 func TestFederatedTreeMatchesSerialFold(t *testing.T) {
-	root := NewServer("p", 3, AggregateOnly)
+	for _, overload := range []bool{false, true} {
+		t.Run(fmt.Sprintf("overload=%v", overload), func(t *testing.T) {
+			federatedTreeMatchesSerialFold(t, overload)
+		})
+	}
+}
+
+func federatedTreeMatchesSerialFold(t *testing.T, overload bool) {
+	const submitters, batch, batchesPerRound = 8, 16, 6
+	shape := func(s *Server) *Server {
+		if overload {
+			s.Shards = 1
+			s.StageCapacity = 64 // against submitters × batch = 128 in flight
+			s.StageWait = -1     // shed at once: the retry path is the point
+			s.Quality = quality.New(quality.Config{Interval: -1})
+		}
+		return s
+	}
+	root := shape(NewServer("p", 3, AggregateOnly))
 	root.AcceptMerges = true
 	addr, err := root.Start("127.0.0.1:0")
 	if err != nil {
@@ -43,35 +79,107 @@ func TestFederatedTreeMatchesSerialFold(t *testing.T) {
 	defer root.Stop()
 
 	edges := []*Server{
-		newTestEdge(t, addr, "edge-a"),
-		newTestEdge(t, addr, "edge-b"),
+		shape(newTestEdge(t, addr, "edge-a")),
+		shape(newTestEdge(t, addr, "edge-b")),
 	}
 	oracleAgg := report.NewAggregate("p", 3)
 	oracleAcc := score.NewAccum(3, nil)
+	var oracleMu sync.Mutex
+	acked := func(reps ...*report.Report) {
+		oracleMu.Lock()
+		defer oracleMu.Unlock()
+		for _, r := range reps {
+			if err := oracleAgg.Fold(r); err != nil {
+				t.Error(err)
+			}
+			if err := oracleAcc.Fold(r); err != nil {
+				t.Error(err)
+			}
+		}
+	}
 
-	id := uint64(0)
+	var id, lost, garbage atomic.Uint64
+	next := func() *report.Report {
+		run := id.Add(1)
+		return mkReport(run, run%4 == 0)
+	}
 	feed := func(e *Server, n int) {
 		for i := 0; i < n; i++ {
-			id++
-			r := mkReport(id, id%4 == 0)
+			r := next()
 			if err := e.Submit(r); err != nil {
 				t.Fatal(err)
 			}
-			if err := oracleAgg.Fold(r); err != nil {
-				t.Fatal(err)
-			}
-			if err := oracleAcc.Fold(r); err != nil {
-				t.Fatal(err)
+			acked(r)
+		}
+	}
+	// One overload round: every submitter posts batchesPerRound batches
+	// and one garbage body, alternating between the two edges. A batch
+	// that exhausts its retries was never acknowledged: it stays out of
+	// the oracle and is counted. The first round starts with the folders
+	// parked on their shard locks until each ring has filled and shed, so
+	// the retry path runs on every machine, not only on a slow one.
+	clients := make([]*Client, len(edges))
+	for i, e := range edges {
+		clients[i] = &Client{
+			BaseURL:       "http://edge",
+			HTTP:          &http.Client{Transport: handlerTransport{e.Handler()}},
+			MaxAttempts:   50,
+			RetryAfterCap: time.Millisecond,
+		}
+	}
+	feedOverload := func(park bool) {
+		if park {
+			for _, e := range edges {
+				e.shards[0].mu.Lock()
 			}
 		}
+		var wg sync.WaitGroup
+		for w := 0; w < submitters; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for b := 0; b < batchesPerRound; b++ {
+					reps := make([]*report.Report, batch)
+					for j := range reps {
+						reps[j] = next()
+					}
+					c := clients[(w+b)%len(clients)]
+					if b == batchesPerRound/2 {
+						if err := c.post(context.Background(), nil, "/report", []byte("not a report")); err == nil {
+							t.Error("garbage body accepted")
+						}
+						garbage.Add(1)
+					}
+					if err := c.postBatch(context.Background(), reps); err != nil {
+						lost.Add(batch)
+						continue
+					}
+					acked(reps...)
+				}
+			}(w)
+		}
+		if park {
+			for _, e := range edges {
+				for deadline := time.Now().Add(5 * time.Second); e.m.shed.Value() == 0 && time.Now().Before(deadline); {
+					time.Sleep(100 * time.Microsecond)
+				}
+				e.shards[0].mu.Unlock()
+			}
+		}
+		wg.Wait()
 	}
 
 	// Three epochs per edge, interleaved, with an empty cut in the
 	// middle (FederateNow with nothing new must be a no-op, not a
 	// zero-run push).
 	for round := 0; round < 3; round++ {
+		if overload {
+			feedOverload(round == 0)
+		}
 		for _, e := range edges {
-			feed(e, 17)
+			if !overload {
+				feed(e, 17)
+			}
 			if err := e.FederateNow(); err != nil {
 				t.Fatal(err)
 			}
@@ -81,6 +189,9 @@ func TestFederatedTreeMatchesSerialFold(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if oracleAgg.Runs == 0 {
+		t.Fatal("no report was acknowledged")
+	}
 	rootAgg := root.Aggregate()
 	rootAgg.Program = oracleAgg.Program // the oracle names the program locally
 	if !reflect.DeepEqual(rootAgg, oracleAgg) {
@@ -92,6 +203,28 @@ func TestFederatedTreeMatchesSerialFold(t *testing.T) {
 	}
 	if !reflect.DeepEqual(score.Rank(rootAcc.Predicates()), score.Rank(oracleAcc.Predicates())) {
 		t.Fatal("root predicate ranking diverges from serial fold")
+	}
+
+	if overload {
+		var shed uint64
+		var atEdges [quality.NumReasons]uint64
+		for _, e := range edges {
+			shed += e.m.shed.Value()
+			for r, n := range e.Quality.TotalsDigest().Rejected {
+				atEdges[r] += n
+			}
+		}
+		if shed == 0 {
+			t.Error("no collector shed a report: the back-pressure path was not exercised")
+		}
+		if got := root.Quality.TotalsDigest().Rejected; got != atEdges {
+			t.Errorf("rejections at the root %v, recorded at the edges %v", got, atEdges)
+		}
+		if got := atEdges[quality.ReasonDecode]; got != garbage.Load() {
+			t.Errorf("%d decode rejections at the edges, %d garbage bodies injected", got, garbage.Load())
+		}
+		t.Logf("%d acknowledged, %d lost to retry exhaustion, %d shed, rejections by reason %v",
+			oracleAgg.Runs, lost.Load(), shed, atEdges)
 	}
 
 	for _, e := range edges {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -145,48 +146,67 @@ func TestSpillTornTailTruncatedOnReplay(t *testing.T) {
 // root ends bit-exact with zero acknowledged reports lost and zero
 // double-counted.
 func TestSpillEdgeRestartResumesFederation(t *testing.T) {
-	dir := t.TempDir()
-	root := NewServer("p", 3, AggregateOnly)
-	root.AcceptMerges = true
-	rootAddr, err := root.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer root.Stop()
+	for _, c := range []struct {
+		name     string
+		mode     Mode
+		replayed uint64
+	}{
+		// The epoch cut persisted a seed covering the first 15 and
+		// compacted the log, so only the 10 post-cut reports need replay.
+		{"AggregateOnly", AggregateOnly, 10},
+		// The log is the report database: nothing compacts it, all 25
+		// come back.
+		{"StoreAll", StoreAll, 25},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			root := NewServer("p", 3, c.mode)
+			root.AcceptMerges = true
+			rootAddr, err := root.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer root.Stop()
 
-	newEdge := func() *Server {
-		e := NewServer("p", 3, AggregateOnly)
-		e.Federation = &Federation{Parent: "http://" + rootAddr, Interval: time.Hour}
-		e.SpillDir = dir
-		return e
-	}
+			newEdge := func() *Server {
+				e := NewServer("p", 3, c.mode)
+				e.Federation = &Federation{Parent: "http://" + rootAddr, Interval: time.Hour}
+				e.SpillDir = dir
+				return e
+			}
 
-	edge := newEdge()
-	feedSpill(t, edge.Handler(), 0, 15)
-	if err := edge.FederateNow(); err != nil {
-		t.Fatal(err)
-	}
-	firstID := edge.fed.edgeID
-	feedSpill(t, edge.Handler(), 15, 10) // acked but never pushed
-	edge.Crash()
+			edge := newEdge()
+			feedSpill(t, edge.Handler(), 0, 15)
+			if err := edge.FederateNow(); err != nil {
+				t.Fatal(err)
+			}
+			firstID := edge.fed.edgeID
+			feedSpill(t, edge.Handler(), 15, 10) // acked but never pushed
+			edge.Crash()
 
-	edge2 := newEdge()
-	defer edge2.Stop()
-	if err := edge2.FederateNow(); err != nil {
-		t.Fatal(err)
-	}
-	if edge2.fed.edgeID != firstID {
-		t.Fatalf("edge identity not restored: %q -> %q", firstID, edge2.fed.edgeID)
-	}
-	if got := root.Aggregate().Runs; got != 25 {
-		t.Fatalf("root has %d runs, want 25 (15 pushed + 10 recovered)", got)
-	}
-	if got := root.reg.Gauge("collect_merge_edges").Value(); got != 1 {
-		t.Fatalf("root tracks %v edges, want 1 (identity survived the restart)", got)
-	}
-	// The epoch cut persisted a seed covering the first 15 and compacted
-	// the log, so only the 10 post-cut reports needed replay.
-	if got := edge2.m.spillReplayed.Value(); got != 10 {
-		t.Fatalf("collect_spill_replayed_total = %d, want 10", got)
+			edge2 := newEdge()
+			defer edge2.Stop()
+			if err := edge2.FederateNow(); err != nil {
+				t.Fatal(err)
+			}
+			if edge2.fed.edgeID != firstID {
+				t.Fatalf("edge identity not restored: %q -> %q", firstID, edge2.fed.edgeID)
+			}
+			want := report.NewAggregate("p", 3)
+			for id := uint64(1); id <= 25; id++ { // feedSpill's reports
+				if err := want.Fold(mkReport(id, id%4 == 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := root.Aggregate(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("root diverges from the serial fold of the 25 acknowledged reports (15 pushed + 10 recovered):\n root: %+v\n want: %+v", got, want)
+			}
+			if got := root.reg.Gauge("collect_merge_edges").Value(); got != 1 {
+				t.Fatalf("root tracks %v edges, want 1 (identity survived the restart)", got)
+			}
+			if got := edge2.m.spillReplayed.Value(); got != c.replayed {
+				t.Fatalf("collect_spill_replayed_total = %d, want %d", got, c.replayed)
+			}
+		})
 	}
 }

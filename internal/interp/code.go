@@ -118,15 +118,16 @@ const (
 	opFDecIf         // countdown -= imm; then opIf on node a
 	opFDecIfBin      // countdown -= imm; then opFIfBin
 
-	// Deeper assignment specializations for the RHS shapes the fleet
-	// histogram shows dominating the remaining generic assigns.
+	// Deeper assignment specializations for the RHS shapes the ccrypt
+	// fleet histogram (TestFusedTraffic's ccryptOps) shows dominating the
+	// remaining generic assigns.
 	opFAssignLeaf     // dst = leaf(a)
 	opFAssignBin3     // dst = binop(bop, binop(inner bin), leaf) — node a
 	opFAssignLoadLoad // dst = binop(bop, load, load) — node a
 
 	// Countdown-plumbing and call glue fusions. The instrumented streams
 	// are dominated by the frame-countdown import/export dance around
-	// calls and checkpoints (see the cbi-bench fleet histogram); these
+	// calls and checkpoints (see TestFusedTraffic's ccryptOps); these
 	// fold those fixed pairs into single dispatches. Goto tails need no
 	// opcodes at all: any sequential instruction followed by its block's
 	// Goto carries the target in gtail and the fast loop runs the goto

@@ -56,8 +56,8 @@ func table2Cells(tb testing.TB, src string, set instrument.SchemeSet) map[string
 	}
 }
 
-// BenchmarkEngineSteps compares steps/s of the three engines; the CI
-// speedup gate lives in cbi-bench fleet, this is the inner-loop view. The
+// BenchmarkEngineSteps is the on-demand comparison of the three engines'
+// steps/s; the judged number is bench/'s table2_vm work_per_s. The
 // loop program is all int arithmetic; treeadd branches on pointer
 // compares and, unconditionally instrumented, spends a third of its
 // dispatches in probes — the operand shapes and the op that once had no

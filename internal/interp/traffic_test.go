@@ -83,6 +83,7 @@ func TestFusedTraffic(t *testing.T) {
 		kernels = kernels[:3]
 	}
 	all := map[string]uint64{}
+	var fused, unfused uint64 // dispatches over the kernels' sampled cells
 	for _, k := range kernels {
 		cells := table2Cells(t, k.Source, instrument.SchemeSet{Bounds: true})
 		for _, cell := range []string{"baseline", "uncond", "sampled"} {
@@ -91,11 +92,29 @@ func TestFusedTraffic(t *testing.T) {
 			if cell == "sampled" {
 				conf.Density = 1.0 / 100
 			}
-			dispatches, handovers := runCounted(t, label, interp.Compile(cells[cell]), conf, all)
+			code := interp.Compile(cells[cell])
+			dispatches, handovers := runCounted(t, label, code, conf, all)
 			if handovers*100 > dispatches {
 				t.Errorf("%s: %d hand-overs in %d fused dispatches, want at most 1%%", label, handovers, dispatches)
 			}
+			if cell == "sampled" {
+				conf.Engine, conf.CountOps = interp.EngineCompiled, true
+				var n uint64
+				for _, c := range code.Run(conf).OpCounts {
+					n += c
+				}
+				t.Logf("%s: %d fused dispatches for %d unfused instructions (%.3f)", label, dispatches, n, float64(dispatches)/float64(n))
+				fused += dispatches
+				unfused += n
+			}
 		}
+	}
+	// What fusion buys without a clock: a fuse rule that stops matching
+	// the kernels' shapes moves this ratio, not only a wall time.
+	ratio := float64(fused) / float64(unfused)
+	t.Logf("sampled kernels: %d fused dispatches for %d unfused instructions (%.3f)", fused, unfused, ratio)
+	if !testing.Short() && ratio > 0.75 {
+		t.Errorf("fused stream dispatches %.3f of the unfused instruction count over the sampled kernels, want at most 0.75", ratio)
 	}
 
 	built, err := workloads.BuildCcrypt(instrument.SchemeSet{Returns: true}, true)
