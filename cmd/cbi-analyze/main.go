@@ -45,12 +45,8 @@ func main() {
 		traceOut = flag.String("trace-out", "", "record one distributed trace per fleet run and write them to this file (.json Chrome trace-event, .jsonl span records)")
 		timing   = flag.Bool("timing", true, "print the per-stage span timing summary")
 		metrics  = flag.Bool("metrics", false, "dump a Prometheus metrics snapshot to stderr at exit")
-		logJSON  = flag.Bool("log-json", false, "log structured JSON events to stderr")
 	)
 	flag.Parse()
-	if *logJSON {
-		telemetry.SetLogWriter(os.Stderr)
-	}
 	var tracer *trace.Collector
 	if *traceOut != "" {
 		tracer = trace.NewCollector()

@@ -53,12 +53,8 @@ func main() {
 		profOut  = flag.String("profile-out", "cbi-profile.folded", "folded flame-stack output file for -profile")
 		traceOut = flag.String("trace-out", "", "write the run's distributed trace to this file (.json Chrome trace-event, .jsonl span records)")
 		metrics  = flag.Bool("metrics", false, "dump a Prometheus metrics snapshot to stderr at exit")
-		logJSON  = flag.Bool("log-json", false, "log structured JSON events to stderr")
 	)
 	flag.Parse()
-	if *logJSON {
-		telemetry.SetLogWriter(os.Stderr)
-	}
 	var tracer *trace.Collector
 	var rootSpan *trace.Span
 	if *traceOut != "" {

@@ -19,10 +19,10 @@
 // to a serial fold of the acknowledged reports, the oracle the tests
 // keep on their side.
 //
-// The server exposes the operational surface a deployed collector needs:
-// Prometheus metrics at /metrics, a liveness/drain signal at /healthz,
-// and per-request ingest counters and latency histograms (package
-// telemetry).
+// The server always exposes the operational surface a deployed collector
+// needs: Prometheus metrics at /metrics, a liveness/drain signal at
+// /healthz, and per-request ingest counters and latency histograms
+// (package telemetry).
 package collect
 
 import (
@@ -180,10 +180,6 @@ type ingestShard struct {
 type Server struct {
 	mode Mode
 
-	// ExposeTelemetry controls whether Handler mounts /metrics and
-	// /healthz (default true; set before calling Handler or Start).
-	ExposeTelemetry bool
-
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the same
 	// mux (default false; set before calling Handler or Start). Off by
 	// default because profile endpoints can stall a loaded collector and
@@ -231,10 +227,6 @@ type Server struct {
 	// negative sheds as soon as the initial spin fails.
 	StageWait time.Duration
 
-	// StatsMaxAge bounds how stale a cached /stats response may be
-	// (default 250ms). GET /stats?fresh=1 always recomputes.
-	StatsMaxAge time.Duration
-
 	// AcceptMerges makes this server a federation root (or mid-tier):
 	// Handler mounts /merge, and edge collectors push delta merges of
 	// their sufficient statistics there (see federate.go). Set before
@@ -254,11 +246,6 @@ type Server struct {
 	// snapshots make restart recovery cheap. Empty disables. Set before
 	// the first submission or Handler call.
 	SpillDir string
-
-	// SpillSnapshotInterval is the snapshot cadence for a spill-enabled
-	// server WITHOUT federation (default 30s); federated edges persist
-	// at every epoch cut instead.
-	SpillSnapshotInterval time.Duration
 
 	program     string
 	numCounters int
@@ -310,12 +297,11 @@ type Server struct {
 func NewServer(program string, numCounters int, mode Mode) *Server {
 	reg := telemetry.NewRegistry()
 	s := &Server{
-		mode:            mode,
-		ExposeTelemetry: true,
-		program:         program,
-		numCounters:     numCounters,
-		reg:             reg,
-		m:               newServerMetrics(reg),
+		mode:        mode,
+		program:     program,
+		numCounters: numCounters,
+		reg:         reg,
+		m:           newServerMetrics(reg),
 	}
 	s.shape.Store(int64(numCounters))
 	return s
@@ -418,10 +404,8 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("/quality", s.instrument("/quality", s.drained(http.HandlerFunc(s.Quality.ServeQuality))))
 		mux.Handle("/debug/badreports", s.instrument("/debug/badreports", http.HandlerFunc(s.Quality.ServeBadReports)))
 	}
-	if s.ExposeTelemetry {
-		mux.Handle("/metrics", s.instrument("/metrics", s.reg.Handler()))
-		mux.Handle("/healthz", s.instrument("/healthz", &s.health))
-	}
+	mux.Handle("/metrics", s.instrument("/metrics", s.reg.Handler()))
+	mux.Handle("/healthz", s.instrument("/healthz", &s.health))
 	if s.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -629,12 +613,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !s.takeIn(w, ingest, body, reps) {
 		return
 	}
-	if s.reg.LogEnabled() {
-		s.reg.Event("report_accepted", map[string]any{
-			"run_id": rep.RunID, "program": rep.Program,
-			"crashed": rep.Crashed, "bytes": len(body),
-		})
-	}
 	w.WriteHeader(http.StatusAccepted)
 }
 
@@ -652,11 +630,6 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	s.m.batchesAccepted.Inc()
 	s.m.batchReportsIn.Add(uint64(len(reps)))
 	s.m.batchReports.Observe(float64(len(reps)))
-	if s.reg.LogEnabled() {
-		s.reg.Event("batch_accepted", map[string]any{
-			"reports": len(reps), "bytes": len(body),
-		})
-	}
 	w.WriteHeader(http.StatusAccepted)
 }
 
@@ -819,10 +792,10 @@ type Stats struct {
 	monitor.TriageStats
 }
 
-// defaultStatsMaxAge is the /stats cache lifetime when StatsMaxAge is
-// unset: roughly the monitor's snapshot cadence, so pollers see fresh
-// numbers without re-merging every shard per GET.
-const defaultStatsMaxAge = 250 * time.Millisecond
+// statsMaxAge is the /stats cache lifetime: roughly the monitor's
+// snapshot cadence, so pollers see fresh numbers without re-merging
+// every shard per GET.
+const statsMaxAge = 250 * time.Millisecond
 
 // handleStats serves the run summary. Computing it locks every shard,
 // so under heavy polling (dashboards, convergence loops) the response is
@@ -835,14 +808,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.init()
 	fresh := r.URL.Query().Get("fresh") != ""
-	maxAge := s.StatsMaxAge
-	if maxAge <= 0 {
-		maxAge = defaultStatsMaxAge
-	}
 	tri := s.Monitor.TriageStats()
 	if !fresh {
 		s.statsMu.Lock()
-		if !s.statsAt.IsZero() && time.Since(s.statsAt) < maxAge &&
+		if !s.statsAt.IsZero() && time.Since(s.statsAt) < statsMaxAge &&
 			tri.RankingsSnapshots == s.statsCache.RankingsSnapshots {
 			st := s.statsCache
 			s.statsMu.Unlock()

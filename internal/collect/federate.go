@@ -13,7 +13,8 @@
 //
 // The wire format is the "CBA1" envelope: magic, version, edge
 // identity, epoch cursor, shape claim (program, counter count, site
-// span count), then tagged length-prefixed sections. Receivers skip
+// span count), then tagged length-prefixed sections — the state-image
+// layout the spill snapshot shares under its own magic. Receivers skip
 // unknown tags, so the envelope can grow new sections without breaking
 // old roots. The endpoint is authenticated by shape, like report
 // ingest: a delta folds only if its program, counter count, and span
@@ -104,101 +105,114 @@ type fedState struct {
 }
 
 // ----------------------------------------------------------------------------
-// CBA1 envelope codec
-
-var mergeMagic = []byte("CBA1")
+// State images: the CBA1 merge envelope and the CBS1 spill snapshot
 
 const (
-	mergeVersion     = 1
-	mergeSectionAgg  = 1 // report.Aggregate.EncodeStats
-	mergeSectionAcc  = 2 // score.Accum.EncodeStats
-	mergeSectionQual = 3 // quality.Digest.Encode
-	maxMergeSections = 64
+	mergeMagic        = "CBA1"
+	stateImageVersion = 1
+	maxStateSections  = 64
 )
 
-// ErrBadMerge is returned when a merge envelope is malformed.
+// ErrBadMerge is returned when a merge envelope is framed correctly but
+// carries no edge identity or an impossible counter shape.
 var ErrBadMerge = errors.New("collect: malformed merge envelope")
 
-// mergeEnvelope is a decoded "CBA1" push: identity, epoch cursor, shape
-// claim, and the raw section payloads (decoded lazily by the receiver,
-// which supplies its own site spans to the Accum codec).
-type mergeEnvelope struct {
+// stateImage is the one layout both state formats share — the CBA1
+// envelope an edge pushes to /merge and the CBS1 snapshot a spilling
+// server writes (spill.go): magic, version, edge identity, epoch cursor,
+// shape claim (program, counter count, site-span count), then the
+// present sections as tag + length-prefixed payload, in tag order.
+// Payloads stay raw; the receiver decodes them with its own site spans.
+type stateImage struct {
 	edgeID      string
 	epoch       uint64
 	program     string
 	numCounters int
 	numSpans    int
-	aggRaw      []byte
-	accRaw      []byte
-	qualRaw     []byte
+	aggRaw      []byte // tag 1: report.Aggregate.EncodeStats
+	accRaw      []byte // tag 2: score.Accum.EncodeStats
+	qualRaw     []byte // tag 3: quality.Digest.Encode
+	pendingRaw  []byte // tag 4, CBS1 only: unacked federation epochs
+	cursorsRaw  []byte // tag 5, CBS1 only: root-side per-edge epoch cursors
 }
 
-func encodeMergeEnvelope(env *mergeEnvelope) []byte {
-	e := wire.Enc{Buf: append([]byte(nil), mergeMagic...)}
-	e.Byte(mergeVersion)
-	e.String(env.edgeID)
-	e.Uvarint(env.epoch)
-	e.String(env.program)
-	e.Uvarint(uint64(env.numCounters))
-	e.Uvarint(uint64(env.numSpans))
-	sections := 0
-	for _, raw := range [][]byte{env.aggRaw, env.accRaw, env.qualRaw} {
-		if raw != nil {
-			sections++
+// sections returns the section slots in tag order: tag i+1 is slot i.
+// A nil payload is an absent section.
+func (img *stateImage) sections() [5]*[]byte {
+	return [...]*[]byte{&img.aggRaw, &img.accRaw, &img.qualRaw, &img.pendingRaw, &img.cursorsRaw}
+}
+
+func encodeStateImage(magic string, img *stateImage) []byte {
+	e := wire.Enc{Buf: []byte(magic)}
+	e.Byte(stateImageVersion)
+	e.String(img.edgeID)
+	e.Uvarint(img.epoch)
+	e.String(img.program)
+	e.Uvarint(uint64(img.numCounters))
+	e.Uvarint(uint64(img.numSpans))
+	present := 0
+	for _, raw := range img.sections() {
+		if *raw != nil {
+			present++
 		}
 	}
-	e.Uvarint(uint64(sections))
-	emit := func(tag byte, raw []byte) {
-		if raw != nil {
-			e.Byte(tag)
-			e.Bytes(raw)
+	e.Uvarint(uint64(present))
+	for i, raw := range img.sections() {
+		if *raw != nil {
+			e.Byte(byte(i + 1))
+			e.Bytes(*raw)
 		}
 	}
-	emit(mergeSectionAgg, env.aggRaw)
-	emit(mergeSectionAcc, env.accRaw)
-	emit(mergeSectionQual, env.qualRaw)
 	return e.Buf
 }
 
-func decodeMergeEnvelope(data []byte) (*mergeEnvelope, error) {
-	if len(data) < len(mergeMagic) || !bytes.Equal(data[:len(mergeMagic)], mergeMagic) {
-		return nil, ErrBadMerge
+// decodeStateImage parses an image written under magic. It checks the
+// framing only; what the header may claim is each caller's to check.
+// Unknown section tags are skipped, so either format can grow sections
+// without breaking older readers; a repeated tag keeps its last payload.
+func decodeStateImage(magic string, data []byte) (*stateImage, error) {
+	if !bytes.HasPrefix(data, []byte(magic)) {
+		return nil, fmt.Errorf("collect: not a %s image", magic)
 	}
-	d := wire.NewDec(data, len(mergeMagic))
-	if v := d.Byte(); d.Bad() || v != mergeVersion {
-		return nil, fmt.Errorf("collect: merge envelope version %d, want %d", v, mergeVersion)
+	d := wire.NewDec(data, len(magic))
+	if v := d.Byte(); d.Bad() || v != stateImageVersion {
+		return nil, fmt.Errorf("collect: %s version %d, want %d", magic, v, stateImageVersion)
 	}
-	env := &mergeEnvelope{}
-	env.edgeID = string(d.Bytes())
-	env.epoch = d.Uvarint()
-	env.program = string(d.Bytes())
-	env.numCounters = int(d.Uvarint())
-	env.numSpans = int(d.Uvarint())
-	sections := d.Uvarint()
-	if d.Bad() || env.edgeID == "" || env.numCounters < 0 || env.numCounters > 1<<28 ||
-		sections > maxMergeSections {
-		return nil, ErrBadMerge
+	img := &stateImage{}
+	img.edgeID = string(d.Bytes())
+	img.epoch = d.Uvarint()
+	img.program = string(d.Bytes())
+	img.numCounters = int(d.Uvarint())
+	img.numSpans = int(d.Uvarint())
+	n := d.Uvarint()
+	if d.Bad() || n > maxStateSections {
+		return nil, fmt.Errorf("collect: malformed %s header", magic)
 	}
-	for i := uint64(0); i < sections; i++ {
+	slots := img.sections()
+	for i := uint64(0); i < n; i++ {
 		tag := d.Byte()
 		raw := d.Bytes()
 		if d.Bad() {
-			return nil, ErrBadMerge
+			return nil, fmt.Errorf("collect: malformed %s section", magic)
 		}
-		switch tag {
-		case mergeSectionAgg:
-			env.aggRaw = raw
-		case mergeSectionAcc:
-			env.accRaw = raw
-		case mergeSectionQual:
-			env.qualRaw = raw
-		default:
-			// Unknown section: skip. A newer edge may ship state this
-			// root does not understand yet; the sections it does know
-			// still fold.
+		if tag >= 1 && int(tag) <= len(slots) {
+			*slots[tag-1] = raw
 		}
 	}
 	if !d.Done() {
+		return nil, fmt.Errorf("collect: trailing bytes after %s image", magic)
+	}
+	return img, nil
+}
+
+// decodeMergeEnvelope decodes a CBA1 push and applies the merge side's
+// own checks: an edge identity to dedupe on and a bounded shape claim.
+func decodeMergeEnvelope(data []byte) (*stateImage, error) {
+	env, err := decodeStateImage(mergeMagic, data)
+	if err != nil {
+		return nil, err
+	}
+	if env.edgeID == "" || env.numCounters < 0 || env.numCounters > 1<<28 {
 		return nil, ErrBadMerge
 	}
 	return env, nil
@@ -355,7 +369,7 @@ func (s *Server) federateCut() {
 		return // nothing since the last cut; no epoch, no persist
 	}
 	f.epoch++
-	env := &mergeEnvelope{
+	env := &stateImage{
 		edgeID:      f.edgeID,
 		epoch:       f.epoch,
 		program:     cut.agg.Program,
@@ -374,7 +388,7 @@ func (s *Server) federateCut() {
 	if !qualDelta.IsZero() {
 		env.qualRaw = qualDelta.Encode()
 	}
-	f.pending = append(f.pending, fedPending{epoch: f.epoch, payload: encodeMergeEnvelope(env)})
+	f.pending = append(f.pending, fedPending{epoch: f.epoch, payload: encodeStateImage(mergeMagic, env)})
 	f.baseAgg = cut.agg
 	f.baseAcc = cut.acc
 	f.baseQual = cut.qual
@@ -623,11 +637,6 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	s.m.mergeRequests.Inc()
 	s.m.mergeReports.Add(uint64(runs))
 	s.Monitor.ReportsFolded(runs)
-	if s.reg.LogEnabled() {
-		s.reg.Event("merge_accepted", map[string]any{
-			"edge": env.edgeID, "epoch": env.epoch, "runs": runs,
-		})
-	}
 	writeMergeAck(w, MergeAck{Edge: env.edgeID, Epoch: env.epoch})
 }
 

@@ -257,7 +257,7 @@ func testEnvelope(edgeID string, epoch uint64, runs int) []byte {
 			panic(err)
 		}
 	}
-	return encodeMergeEnvelope(&mergeEnvelope{
+	return encodeStateImage(mergeMagic, &stateImage{
 		edgeID:      edgeID,
 		epoch:       epoch,
 		program:     "p",
@@ -338,22 +338,22 @@ func TestMergeRejectsBadPushes(t *testing.T) {
 	expect(bad, http.StatusBadRequest, "wrong version")
 
 	// Program mismatch.
-	env := &mergeEnvelope{edgeID: "e1", epoch: 1, program: "other", numCounters: 3}
-	expect(encodeMergeEnvelope(env), http.StatusBadRequest, "program mismatch")
+	env := &stateImage{edgeID: "e1", epoch: 1, program: "other", numCounters: 3}
+	expect(encodeStateImage(mergeMagic, env), http.StatusBadRequest, "program mismatch")
 
 	// Counter-shape mismatch.
-	env = &mergeEnvelope{edgeID: "e1", epoch: 1, program: "p", numCounters: 99}
-	expect(encodeMergeEnvelope(env), http.StatusBadRequest, "counter mismatch")
+	env = &stateImage{edgeID: "e1", epoch: 1, program: "p", numCounters: 99}
+	expect(encodeStateImage(mergeMagic, env), http.StatusBadRequest, "counter mismatch")
 
 	// Span-cardinality mismatch (root has no site spans).
-	env = &mergeEnvelope{edgeID: "e1", epoch: 1, program: "p", numCounters: 3, numSpans: 4}
-	expect(encodeMergeEnvelope(env), http.StatusBadRequest, "span mismatch")
+	env = &stateImage{edgeID: "e1", epoch: 1, program: "p", numCounters: 3, numSpans: 4}
+	expect(encodeStateImage(mergeMagic, env), http.StatusBadRequest, "span mismatch")
 
 	// Aggregate section disagreeing with the envelope's shape claim.
 	wrong := report.NewAggregate("p", 7)
 	wrong.Runs = 1
-	env = &mergeEnvelope{edgeID: "e1", epoch: 1, program: "p", numCounters: 3, aggRaw: wrong.EncodeStats()}
-	expect(encodeMergeEnvelope(env), http.StatusBadRequest, "aggregate/envelope shape disagreement")
+	env = &stateImage{edgeID: "e1", epoch: 1, program: "p", numCounters: 3, aggRaw: wrong.EncodeStats()}
+	expect(encodeStateImage(mergeMagic, env), http.StatusBadRequest, "aggregate/envelope shape disagreement")
 
 	// Wrong method.
 	rec := httptest.NewRecorder()

@@ -57,7 +57,7 @@ func TestLiveRankingsDuringConcurrentIngest(t *testing.T) {
 	srv := NewServer("p", n, StoreAll)
 	srv.Shards = 8
 	srv.Sites = spans
-	srv.Monitor = monitor.New(monitor.Config{TopK: 5, EveryReports: 50, StableFor: 3})
+	srv.Monitor = monitor.New(monitor.Config{TopK: 5, EveryReports: 50})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestStatsIncludesTriageFields(t *testing.T) {
 	}
 	cc := NewServer("ccrypt", built.Program.NumCounters, AggregateOnly)
 	cc.Sites = monitor.ManifestOf("ccrypt", built.Program).Spans()
-	cc.Monitor = monitor.New(monitor.Config{TopK: 10, StableFor: 3})
+	cc.Monitor = monitor.New(monitor.Config{TopK: 10})
 	ccAddr, err := cc.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

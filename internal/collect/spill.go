@@ -48,23 +48,16 @@ import (
 	"cbi/internal/wire"
 )
 
-// defaultSpillSnapshotInterval is the standalone snapshot cadence when
-// SpillSnapshotInterval is unset. Federated edges ignore it: they
-// persist at every epoch cut instead.
-const defaultSpillSnapshotInterval = 30 * time.Second
+// spillSnapshotInterval is the standalone snapshot cadence. Federated
+// edges ignore it: they persist at every epoch cut instead.
+const spillSnapshotInterval = 30 * time.Second
 
-var spillMagic = []byte("CBS1")
-
+// A state file is a state image (federate.go) under its own magic,
+// carrying the seed in sections 1–3 plus the two spill-only sections.
 const (
-	spillVersion          = 1
-	spillSectionAgg       = 1 // seed report.Aggregate.EncodeStats
-	spillSectionAcc       = 2 // seed score.Accum.EncodeStats
-	spillSectionQual      = 3 // seed quality.Digest.Encode
-	spillSectionPending   = 4 // unacked federation epochs
-	spillSectionMergeSeen = 5 // root-side per-edge epoch cursors
-	maxSpillSections      = 64
-	maxSpillPending       = 1 << 16
-	maxSpillEdges         = 1 << 20
+	spillMagic      = "CBS1"
+	maxSpillPending = 1 << 16
+	maxSpillEdges   = 1 << 20
 )
 
 // spillState is the runtime of the persistence layer.
@@ -96,20 +89,6 @@ type fedRestore struct {
 	pending  []fedPending
 }
 
-// spillPersisted is the raw decoded form of a "CBS1" state file.
-type spillPersisted struct {
-	edgeID      string
-	epoch       uint64
-	program     string
-	numCounters int
-	numSpans    int
-	aggRaw      []byte
-	accRaw      []byte
-	qualRaw     []byte
-	pending     []fedPending
-	mergeSeen   map[string]uint64
-}
-
 // frameReport wraps one encoded report body in the log framing.
 func frameReport(body []byte) []byte {
 	buf := binary.AppendUvarint(make([]byte, 0, len(body)+binary.MaxVarintLen64), uint64(len(body)))
@@ -135,11 +114,11 @@ func (s *Server) initSpill() {
 	}
 	s.spill = sp
 	if data, err := os.ReadFile(sp.statePath); err == nil {
-		st, derr := decodeSpillState(data)
+		st, pending, cursors, derr := decodeSpillState(data)
 		if derr != nil {
 			panic(fmt.Sprintf("collect: spill state %s: %v", sp.statePath, derr))
 		}
-		s.restoreSpillState(sp, st)
+		s.restoreSpillState(sp, st, pending, cursors)
 	} else if !os.IsNotExist(err) {
 		panic(fmt.Sprintf("collect: spill state: %v", err))
 	}
@@ -154,7 +133,7 @@ func (s *Server) initSpill() {
 // restoreSpillState applies a decoded snapshot: shape adoption, shard
 // seeding (AggregateOnly — in StoreAll the untruncated log rebuilds the
 // shards), quality totals, merge cursors, and the federation identity.
-func (s *Server) restoreSpillState(sp *spillState, st *spillPersisted) {
+func (s *Server) restoreSpillState(sp *spillState, st *stateImage, pending []fedPending, cursors map[string]uint64) {
 	if s.program != "" && st.program != "" && st.program != s.program {
 		panic(fmt.Sprintf("collect: spill state is for program %q, server collects %q", st.program, s.program))
 	}
@@ -165,7 +144,7 @@ func (s *Server) restoreSpillState(sp *spillState, st *spillPersisted) {
 			panic(fmt.Sprintf("collect: spill state has counter shape %d, server expects %d", st.numCounters, want))
 		}
 	}
-	restored := &fedRestore{edgeID: st.edgeID, epoch: st.epoch, pending: st.pending}
+	restored := &fedRestore{edgeID: st.edgeID, epoch: st.epoch, pending: pending}
 	if st.aggRaw != nil {
 		seedAgg, err := report.DecodeAggregateStats(st.aggRaw)
 		if err != nil {
@@ -207,8 +186,8 @@ func (s *Server) restoreSpillState(sp *spillState, st *spillPersisted) {
 		// the merged state; a StoreAll root rebuilds from its own log
 		// only, so stale cursors there would refuse re-pushed epochs it
 		// no longer has.
-		if len(st.mergeSeen) > 0 {
-			s.mergeSeen = st.mergeSeen
+		if len(cursors) > 0 {
+			s.mergeSeen = cursors
 		}
 	}
 	// The totals restore deliberately skips the tick windows: hours of
@@ -243,11 +222,6 @@ func (s *Server) replaySpillLog(sp *spillState) {
 		}
 	}
 	s.m.spillReplayed.Add(uint64(sp.replayed))
-	if s.reg.LogEnabled() {
-		s.reg.Event("spill_replayed", map[string]any{
-			"reports": sp.replayed, "torn_tail": rerr != nil,
-		})
-	}
 }
 
 // spillAppend journals pre-framed report bytes. The caller (takeIn)
@@ -275,139 +249,85 @@ func (s *Server) buildSpillState(cut serverCut) []byte {
 	if cut.agg == nil {
 		cut.agg = report.NewAggregate(s.program, int(s.shape.Load()))
 	}
-	var edgeID string
-	var epoch uint64
-	var pending []fedPending
-	if f := s.fed; f != nil {
-		edgeID, epoch, pending = f.edgeID, f.epoch, f.pending
+	img := &stateImage{
+		program:     s.program,
+		numCounters: cut.agg.NumCounters,
+		numSpans:    len(s.Sites),
+		aggRaw:      cut.agg.EncodeStats(),
+		qualRaw:     cut.qual.Encode(),
 	}
-	prog := s.program
-	if prog == "" {
-		prog = cut.agg.Program
+	if img.program == "" {
+		img.program = cut.agg.Program
 	}
-	e := wire.Enc{Buf: append([]byte(nil), spillMagic...)}
-	e.Byte(spillVersion)
-	e.String(edgeID)
-	e.Uvarint(epoch)
-	e.String(prog)
-	e.Uvarint(uint64(cut.agg.NumCounters))
-	e.Uvarint(uint64(len(s.Sites)))
-	type section struct {
-		tag byte
-		raw []byte
-	}
-	sections := []section{{spillSectionAgg, cut.agg.EncodeStats()}}
 	if cut.acc != nil {
-		sections = append(sections, section{spillSectionAcc, cut.acc.EncodeStats()})
+		img.accRaw = cut.acc.EncodeStats()
 	}
-	sections = append(sections, section{spillSectionQual, cut.qual.Encode()})
-	if len(pending) > 0 {
-		var pe wire.Enc
-		pe.Uvarint(uint64(len(pending)))
-		for _, p := range pending {
-			pe.Uvarint(p.epoch)
-			pe.Bytes(p.payload)
+	if f := s.fed; f != nil {
+		img.edgeID, img.epoch = f.edgeID, f.epoch
+		if len(f.pending) > 0 {
+			var e wire.Enc
+			e.Uvarint(uint64(len(f.pending)))
+			for _, p := range f.pending {
+				e.Uvarint(p.epoch)
+				e.Bytes(p.payload)
+			}
+			img.pendingRaw = e.Buf
 		}
-		sections = append(sections, section{spillSectionPending, pe.Buf})
 	}
 	if s.AcceptMerges {
 		s.mergeMu.Lock()
-		var me *wire.Enc
 		if len(s.mergeSeen) > 0 {
-			me = &wire.Enc{}
-			me.Uvarint(uint64(len(s.mergeSeen)))
+			var e wire.Enc
+			e.Uvarint(uint64(len(s.mergeSeen)))
 			for id, ep := range s.mergeSeen {
-				me.String(id)
-				me.Uvarint(ep)
+				e.String(id)
+				e.Uvarint(ep)
 			}
+			img.cursorsRaw = e.Buf
 		}
 		s.mergeMu.Unlock()
-		if me != nil {
-			sections = append(sections, section{spillSectionMergeSeen, me.Buf})
-		}
 	}
-	e.Uvarint(uint64(len(sections)))
-	for _, sec := range sections {
-		e.Byte(sec.tag)
-		e.Bytes(sec.raw)
-	}
-	return e.Buf
+	return encodeStateImage(spillMagic, img)
 }
 
-func decodeSpillState(data []byte) (*spillPersisted, error) {
-	if len(data) < len(spillMagic) || string(data[:len(spillMagic)]) != string(spillMagic) {
-		return nil, fmt.Errorf("bad magic")
+// decodeSpillState decodes a CBS1 state file and its two spill-only
+// sections, each bounded: at most maxSpillPending unacked epochs and
+// maxSpillEdges merge cursors, and no more of either than the section
+// has bytes for.
+func decodeSpillState(data []byte) (st *stateImage, pending []fedPending, cursors map[string]uint64, err error) {
+	if st, err = decodeStateImage(spillMagic, data); err != nil {
+		return nil, nil, nil, err
 	}
-	d := wire.NewDec(data, len(spillMagic))
-	if v := d.Byte(); d.Bad() || v != spillVersion {
-		return nil, fmt.Errorf("version %d, want %d", v, spillVersion)
-	}
-	st := &spillPersisted{}
-	st.edgeID = string(d.Bytes())
-	st.epoch = d.Uvarint()
-	st.program = string(d.Bytes())
-	st.numCounters = int(d.Uvarint())
-	st.numSpans = int(d.Uvarint())
-	sections := d.Uvarint()
-	if d.Bad() || sections > maxSpillSections {
-		return nil, fmt.Errorf("malformed header")
-	}
-	for i := uint64(0); i < sections; i++ {
-		tag := d.Byte()
-		raw := d.Bytes()
-		if d.Bad() {
-			return nil, fmt.Errorf("malformed section")
+	if st.pendingRaw != nil {
+		d := wire.NewDec(st.pendingRaw, 0)
+		n := d.Uvarint()
+		if d.Bad() || n > maxSpillPending || n > uint64(d.Remaining()) {
+			return nil, nil, nil, fmt.Errorf("collect: malformed pending section")
 		}
-		switch tag {
-		case spillSectionAgg:
-			st.aggRaw = raw
-		case spillSectionAcc:
-			st.accRaw = raw
-		case spillSectionQual:
-			st.qualRaw = raw
-		case spillSectionPending:
-			pd := wire.NewDec(raw, 0)
-			n := pd.Uvarint()
-			if pd.Bad() || n > maxSpillPending {
-				return nil, fmt.Errorf("malformed pending section")
-			}
-			for j := uint64(0); j < n; j++ {
-				ep := pd.Uvarint()
-				payload := pd.Bytes()
-				if pd.Bad() {
-					return nil, fmt.Errorf("malformed pending epoch")
-				}
-				st.pending = append(st.pending, fedPending{epoch: ep, payload: payload})
-			}
-			if !pd.Done() {
-				return nil, fmt.Errorf("malformed pending section")
-			}
-		case spillSectionMergeSeen:
-			md := wire.NewDec(raw, 0)
-			n := md.Uvarint()
-			if md.Bad() || n > maxSpillEdges {
-				return nil, fmt.Errorf("malformed merge-cursor section")
-			}
-			st.mergeSeen = make(map[string]uint64, n)
-			for j := uint64(0); j < n; j++ {
-				id := string(md.Bytes())
-				ep := md.Uvarint()
-				if md.Bad() {
-					return nil, fmt.Errorf("malformed merge cursor")
-				}
-				st.mergeSeen[id] = ep
-			}
-			if !md.Done() {
-				return nil, fmt.Errorf("malformed merge-cursor section")
-			}
-		default:
-			// Unknown section from a newer build: ignore.
+		for i := uint64(0); i < n; i++ {
+			ep := d.Uvarint()
+			pending = append(pending, fedPending{epoch: ep, payload: d.Bytes()})
+		}
+		if !d.Done() {
+			return nil, nil, nil, fmt.Errorf("collect: malformed pending section")
 		}
 	}
-	if !d.Done() {
-		return nil, fmt.Errorf("trailing bytes")
+	if st.cursorsRaw != nil {
+		d := wire.NewDec(st.cursorsRaw, 0)
+		n := d.Uvarint()
+		if d.Bad() || n > maxSpillEdges || n > uint64(d.Remaining()) {
+			return nil, nil, nil, fmt.Errorf("collect: malformed merge-cursor section")
+		}
+		cursors = make(map[string]uint64, n)
+		for i := uint64(0); i < n; i++ {
+			id := string(d.Bytes())
+			cursors[id] = d.Uvarint()
+		}
+		if !d.Done() {
+			return nil, nil, nil, fmt.Errorf("collect: malformed merge-cursor section")
+		}
 	}
-	return st, nil
+	return st, pending, cursors, nil
 }
 
 // writeSpillState lands a snapshot image atomically (tmp + rename).
@@ -465,15 +385,11 @@ func (s *Server) startSpillLoop() {
 	if sp == nil || s.fed != nil {
 		return
 	}
-	interval := s.SpillSnapshotInterval
-	if interval <= 0 {
-		interval = defaultSpillSnapshotInterval
-	}
 	sp.loopStop = make(chan struct{})
 	sp.loopDone = make(chan struct{})
 	go func() {
 		defer close(sp.loopDone)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(spillSnapshotInterval)
 		defer t.Stop()
 		for {
 			select {

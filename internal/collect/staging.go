@@ -190,8 +190,6 @@ func (s *Server) initStaging() {
 	for i := range s.rings {
 		s.rings[i] = newStageRing(capacity)
 	}
-	s.reg.Gauge("collect_stage_capacity").Set(float64(capacity))
-	s.reg.Gauge("collect_stage_rings").Set(float64(len(s.rings)))
 	s.stageStop = make(chan struct{})
 	s.stageWG.Add(len(s.rings))
 	for i := range s.rings {

@@ -124,16 +124,6 @@ func TestHealthzTransitions(t *testing.T) {
 	}
 }
 
-func TestTelemetryEndpointsCanBeDisabled(t *testing.T) {
-	srv := NewServer("p", 3, StoreAll)
-	srv.ExposeTelemetry = false
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Errorf("/metrics with telemetry disabled: %d, want 404", rec.Code)
-	}
-}
-
 func TestConcurrentSubmit(t *testing.T) {
 	srv := NewServer("p", 3, StoreAll)
 	const workers, per = 8, 50

@@ -15,8 +15,8 @@
 //
 // Each snapshot carries churn relative to the previous one (a
 // Kendall-tau-style rank distance plus new-entrant/dropout counts), and
-// once the top-K has been stable for a configured number of consecutive
-// snapshots the monitor declares convergence — the live signal the
+// once the top-K has been stable for three consecutive snapshots the
+// monitor declares convergence — the live signal the
 // closed-loop adaptive-sampling roadmap item consumes.
 //
 // Snapshots are pure functions of a score.Accum supplied by a Source
@@ -54,16 +54,12 @@ type Config struct {
 	// stability window convergence is judged on (default 10).
 	TopK int
 	// EveryReports triggers a snapshot each time this many reports have
-	// been folded (default 500; <= 0 disables the count cadence).
+	// been folded (<= 0 disables the count cadence).
 	EveryReports int
 	// Interval additionally snapshots on a wall-clock cadence once Start
 	// is called (0 disables the timer). A timer cadence means snapshots —
 	// and therefore convergence — keep happening after ingest goes quiet.
 	Interval time.Duration
-	// StableFor is how many consecutive snapshots the top-K order must
-	// survive unchanged before the monitor declares convergence
-	// (default 3).
-	StableFor int
 	// PredicateName, when set, labels ranked counters with human-readable
 	// predicate names (e.g. cfg.Program.PredicateName or
 	// Manifest.PredicateName).
@@ -177,19 +173,17 @@ type Monitor struct {
 	stopCh    chan struct{}
 }
 
+// stableFor is how many consecutive snapshots the top-K order must
+// survive unchanged before the monitor declares convergence.
+const stableFor = 3
+
 // New creates a monitor. Bind it to a source before use.
 func New(cfg Config) *Monitor {
 	if cfg.TopK <= 0 {
 		cfg.TopK = 10
 	}
-	if cfg.StableFor <= 0 {
-		cfg.StableFor = 3
-	}
 	return &Monitor{cfg: cfg, subs: make(map[chan []byte]struct{})}
 }
-
-// Config returns the monitor's effective configuration.
-func (m *Monitor) Config() Config { return m.cfg }
 
 // Bind attaches the monitor to its statistics source and telemetry
 // registry, and launches the snapshot worker goroutine (stopped by
@@ -217,7 +211,6 @@ func (m *Monitor) Bind(src Source, reg *telemetry.Registry) {
 		watchClients:    reg.Gauge("monitor_watch_clients"),
 		dropped:         reg.Counter("monitor_events_dropped_total"),
 	}
-	reg.Gauge("monitor_top_k").Set(float64(m.cfg.TopK))
 	m.kick = make(chan struct{}, 1)
 	m.stopCh = make(chan struct{})
 	// The snapshot worker: every cadence snapshot runs here, never on an
@@ -443,7 +436,7 @@ func (m *Monitor) takeSnapshot(force bool) *Snapshot {
 	wasConverged := m.converged
 	// An empty ranking is trivially stable; convergence means a non-empty
 	// top-K stopped moving.
-	m.converged = len(ids) > 0 && m.stable >= m.cfg.StableFor
+	m.converged = len(ids) > 0 && m.stable >= stableFor
 	snap.Converged = m.converged
 	m.prevTop = ids
 	m.cur = snap

@@ -103,22 +103,22 @@ func TestConvergence(t *testing.T) {
 		rep(3, true, n, 0), rep(4, false, n, 3),
 	}
 	src := &fakeSource{acc: accumOf(t, n, spans, repsA)}
-	m := newBound(t, Config{TopK: 2, StableFor: 2}, src)
+	m := newBound(t, Config{TopK: 2}, src)
 
-	s1 := m.Snapshot()
-	if s1.Converged || s1.Stable != 1 {
-		t.Fatalf("first snapshot: stable=%d converged=%v", s1.Stable, s1.Converged)
+	for i := 1; i < stableFor; i++ {
+		if s := m.Snapshot(); s.Converged || s.Stable != i {
+			t.Fatalf("snapshot %d: stable=%d converged=%v", i, s.Stable, s.Converged)
+		}
 	}
-	s2 := m.Snapshot()
-	if !s2.Converged {
-		t.Fatalf("second identical snapshot should converge (stable=%d)", s2.Stable)
+	if s := m.Snapshot(); !s.Converged {
+		t.Fatalf("identical snapshot %d should converge (stable=%d)", stableFor, s.Stable)
 	}
 	runs, seq, _, ok := m.Convergence()
-	if !ok || seq != 2 || runs != len(repsA) {
-		t.Fatalf("Convergence() = (%d,%d,%v), want runs=%d seq=2", runs, seq, ok, len(repsA))
+	if !ok || seq != stableFor || runs != len(repsA) {
+		t.Fatalf("Convergence() = (%d,%d,%v), want runs=%d seq=%d", runs, seq, ok, len(repsA), stableFor)
 	}
 	st := m.TriageStats()
-	if !st.Converged || st.RankingsSnapshots != 2 || st.LastSnapshotUnix == 0 {
+	if !st.Converged || st.RankingsSnapshots != stableFor || st.LastSnapshotUnix == 0 {
 		t.Fatalf("TriageStats = %+v", st)
 	}
 
@@ -132,7 +132,7 @@ func TestConvergence(t *testing.T) {
 		t.Fatalf("rank shift should diverge: %+v", s3)
 	}
 	// First-convergence record is preserved across divergence.
-	if _, seq, _, ok := m.Convergence(); !ok || seq != 2 {
+	if _, seq, _, ok := m.Convergence(); !ok || seq != stableFor {
 		t.Fatalf("first convergence record lost: seq=%d ok=%v", seq, ok)
 	}
 }
@@ -141,7 +141,7 @@ func TestConvergence(t *testing.T) {
 // firing on no data) must not declare victory over an empty top-K.
 func TestEmptyRankingsNeverConverge(t *testing.T) {
 	src := &fakeSource{acc: score.NewAccum(4, nil)}
-	m := newBound(t, Config{TopK: 3, StableFor: 2}, src)
+	m := newBound(t, Config{TopK: 3}, src)
 	for i := 0; i < 5; i++ {
 		if s := m.Snapshot(); s.Converged {
 			t.Fatalf("converged on empty rankings at snapshot %d", i+1)
@@ -263,7 +263,7 @@ func TestServeWatch(t *testing.T) {
 		rep(0, true, n, 0), rep(1, true, n, 0), rep(2, false, n, 1),
 	}
 	src := &fakeSource{acc: accumOf(t, n, spans, reps)}
-	m := newBound(t, Config{TopK: 2, StableFor: 2}, src)
+	m := newBound(t, Config{TopK: 2}, src)
 	m.Snapshot() // a connecting client receives the current snapshot
 
 	ts := httptest.NewServer(http.HandlerFunc(m.ServeWatch))
@@ -294,12 +294,14 @@ func TestServeWatch(t *testing.T) {
 		t.Fatalf("initial snapshot = %+v", snap)
 	}
 
-	// The second identical snapshot converges (StableFor=2): the stream
-	// carries the snapshot event then the converged event.
-	m.Snapshot()
-	ev, _ = readEvent(t, sc)
-	if ev != "snapshot" {
-		t.Fatalf("event = %q, want snapshot", ev)
+	// Identical snapshots until the stableFor-th converges: the stream
+	// carries a snapshot event for each, then the converged event.
+	for i := 1; i < stableFor; i++ {
+		m.Snapshot()
+		ev, _ = readEvent(t, sc)
+		if ev != "snapshot" {
+			t.Fatalf("event = %q, want snapshot", ev)
+		}
 	}
 	ev, data = readEvent(t, sc)
 	if ev != "converged" {
@@ -309,7 +311,7 @@ func TestServeWatch(t *testing.T) {
 	if err := json.Unmarshal(data, &conv); err != nil {
 		t.Fatal(err)
 	}
-	if conv.Seq != 2 || len(conv.Top) == 0 {
+	if conv.Seq != stableFor || len(conv.Top) == 0 {
 		t.Fatalf("converged event = %+v", conv)
 	}
 

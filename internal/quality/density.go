@@ -80,7 +80,7 @@ type SamplingVerdict struct {
 	// per-run total distribution and Poisson(Mean), in [0, 1].
 	TVDistance float64 `json:"tv_distance"`
 	Threshold  float64 `json:"threshold"`
-	// Verdict is "insufficient" (fewer than MinCheckReports runs),
+	// Verdict is "insufficient" (fewer than minCheckReports runs),
 	// "consistent", or "drift" (TVDistance above Threshold).
 	Verdict string `json:"verdict"`
 }

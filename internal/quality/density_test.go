@@ -90,7 +90,7 @@ func TestDensityCheckInsufficient(t *testing.T) {
 		d.observe(5)
 	}
 	if v := d.verdict(0.1, 0.25, 200); v.Verdict != "insufficient" {
-		t.Errorf("below MinCheckReports: verdict %q, want insufficient", v.Verdict)
+		t.Errorf("below minCheckReports: verdict %q, want insufficient", v.Verdict)
 	}
 }
 

@@ -80,112 +80,68 @@ type EventSink interface {
 	Publish(event string, v any)
 }
 
-// Config parameterizes an Engine. The zero value gets sane defaults.
+// Config parameterizes an Engine.
 type Config struct {
 	// Interval is the anomaly-evaluation tick cadence once Start is
-	// called (default 1s; <= 0 disables the ticker — tests and scripted
-	// drivers call Tick directly).
+	// called (<= 0 disables the ticker — tests and scripted drivers call
+	// Tick directly; cbi-collect passes 1s).
 	Interval time.Duration
-	// HalfLife is the EWMA half-life of the rate baselines (default 30s):
-	// how much history a spike is judged against.
-	HalfLife time.Duration
-	// SpikeFactor: a window rate above SpikeFactor x the EWMA baseline
-	// (floored at MinRate) flags a rate-spike anomaly (default 8).
-	SpikeFactor float64
-	// MinEvents is the minimum events in a window before spike/surge
-	// rules fire — tiny absolute counts are never anomalies (default 20).
-	MinEvents uint64
-	// RejectRatio: rejected/(accepted+rejected) in one window above this
-	// flags a reject-surge anomaly (default 0.5).
-	RejectRatio float64
-	// MinRate (events/sec) floors spike baselines and arms the stall
-	// detector (default 0.5).
-	MinRate float64
-	// StallTicks consecutive empty accept windows after traffic was
-	// flowing flag an ingest-stall anomaly (default 3).
-	StallTicks int
-	// RecoverTicks consecutive clear ticks retire an active anomaly with
-	// a `recovered` event (default 2).
-	RecoverTicks int
-	// SketchCap is the Space-Saving capacity m: error bound N/m, and any
-	// source above N/m occurrences is guaranteed tracked (default 64).
-	SketchCap int
-	// TopK bounds the top-sources list in the /quality snapshot
-	// (default 10).
-	TopK int
-	// RingSize / SampleBytes size the forensic ring buffer (default 64
-	// entries, 128 retained bytes each).
-	RingSize    int
-	SampleBytes int
 	// Density is the advertised sampling density 1/d for the
 	// statistical-distance check (0 = unknown; the shape check still
 	// runs).
 	Density float64
-	// TVThreshold is the total-variation distance above which the
-	// sampling verdict is "drift" (default 0.25).
-	TVThreshold float64
-	// MinCheckReports is how many completed runs the density check needs
-	// before it renders a verdict (default 200).
-	MinCheckReports uint64
-	// SketchBudget bounds sketch updates per tick: when more accepted
-	// reports than this arrive in one tick interval, the engine doubles
-	// its sketch stride (up to 256) and feeds the quantile/heavy-hitter/
-	// density sketches a uniform 1-in-stride subsample, keeping ingest
-	// overhead flat under load. Totals and rate trackers stay exact.
-	// The stride halves again on quiet ticks. Default 8192; negative
-	// disables adaptation (stride pinned at 1).
-	SketchBudget int
 }
 
-func (c Config) withDefaults() Config {
-	if c.HalfLife <= 0 {
-		c.HalfLife = 30 * time.Second
-	}
-	if c.SpikeFactor <= 0 {
-		c.SpikeFactor = 8
-	}
-	if c.MinEvents == 0 {
-		c.MinEvents = 20
-	}
-	if c.RejectRatio <= 0 {
-		c.RejectRatio = 0.5
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = 0.5
-	}
-	if c.StallTicks <= 0 {
-		c.StallTicks = 3
-	}
-	if c.RecoverTicks <= 0 {
-		c.RecoverTicks = 2
-	}
-	if c.SketchCap <= 0 {
-		c.SketchCap = 64
-	}
-	if c.TopK <= 0 {
-		c.TopK = 10
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 64
-	}
-	if c.SampleBytes <= 0 {
-		c.SampleBytes = 128
-	}
-	if c.TVThreshold <= 0 {
-		c.TVThreshold = 0.25
-	}
-	if c.MinCheckReports == 0 {
-		c.MinCheckReports = 200
-	}
-	if c.SketchBudget == 0 {
-		c.SketchBudget = 8192
-	}
-	return c
-}
-
-// maxSketchStride caps adaptive sketch degradation: even a flooded
-// collector still sketches at least 1 in 256 accepted reports.
-const maxSketchStride = 256
+// The engine's fixed tuning. The four that in-package tests substitute
+// live on the Engine, set by New from these.
+const (
+	// defaultHalfLife is the EWMA half-life of the rate baselines: how
+	// much history a spike is judged against.
+	defaultHalfLife = 30 * time.Second
+	// spikeFactor: a window rate above spikeFactor x the EWMA baseline
+	// (floored at minRate) flags a rate-spike anomaly.
+	spikeFactor = 8
+	// defaultMinEvents is the minimum events in a window before
+	// spike/surge rules fire — tiny absolute counts are never anomalies.
+	defaultMinEvents = 20
+	// rejectRatio: rejected/(accepted+rejected) in one window above this
+	// flags a reject-surge anomaly.
+	rejectRatio = 0.5
+	// minRate (events/sec) floors spike baselines and arms the stall
+	// detector.
+	minRate = 0.5
+	// stallTicks consecutive empty accept windows after traffic was
+	// flowing flag an ingest-stall anomaly.
+	stallTicks = 3
+	// recoverTicks consecutive clear ticks retire an active anomaly with
+	// a `recovered` event.
+	recoverTicks = 2
+	// sketchCap is the Space-Saving capacity m: error bound N/m, and any
+	// source above N/m occurrences is guaranteed tracked.
+	sketchCap = 64
+	// topSources bounds the top-sources list in the /quality snapshot.
+	topSources = 10
+	// ringSize / sampleBytes size the forensic ring buffer: 64 entries,
+	// 128 retained bytes each.
+	ringSize    = 64
+	sampleBytes = 128
+	// tvThreshold is the total-variation distance above which the
+	// sampling verdict is "drift".
+	tvThreshold = 0.25
+	// defaultMinCheckReports is how many completed runs the density check
+	// needs before it renders a verdict.
+	defaultMinCheckReports = 200
+	// defaultSketchBudget bounds sketch updates per tick: when more
+	// accepted reports than this arrive in one tick interval, the engine
+	// doubles its sketch stride (up to maxSketchStride) and feeds the
+	// quantile/heavy-hitter/density sketches a uniform 1-in-stride
+	// subsample, keeping ingest overhead flat under load. Totals and rate
+	// trackers stay exact. The stride halves again on quiet ticks.
+	defaultSketchBudget = 8192
+	// maxSketchStride caps adaptive sketch degradation: even a flooded
+	// collector still sketches at least 1 in 256 accepted reports.
+	maxSketchStride = 256
+)
 
 // trackerNames indexes the window counters: the two ingest endpoints,
 // accepted reports, then one tracker per rejection reason.
@@ -258,6 +214,13 @@ type Engine struct {
 	cfg   Config
 	start time.Time
 
+	// Tuning New fixes at the defaults above; in-package tests set other
+	// values on the engine they build, before traffic arrives.
+	halfLife        time.Duration
+	minEvents       uint64
+	minCheckReports uint64
+	sketchBudget    uint64
+
 	// Events, when set before traffic arrives, receives `anomaly` and
 	// `recovered` events (the collector wires its Monitor here so they
 	// ride the /watch SSE stream).
@@ -276,7 +239,7 @@ type Engine struct {
 
 	// Adaptive sketch stride: accepted reports enter the mutex-guarded
 	// sketch block only every stride-th time. sketchUpdates counts block
-	// entries since the last tick; crossing SketchBudget doubles the
+	// entries since the last tick; crossing sketchBudget doubles the
 	// stride (AIMD up), quiet ticks halve it (AIMD down).
 	stride        atomic.Uint64
 	seq           atomic.Uint64
@@ -319,23 +282,23 @@ type Engine struct {
 // New creates an engine. Bind it (or let collect.Server do it) before
 // traffic arrives.
 func New(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
 	e := &Engine{
-		cfg:      cfg,
-		start:    time.Now(),
-		bytes:    NewQuantileSketch(),
-		nonzeros: NewQuantileSketch(),
-		sources:  NewSpaceSaving(cfg.SketchCap),
-		ring:     newRing(cfg.RingSize, cfg.SampleBytes),
-		active:   make(map[anomalyKey]*activeAnomaly),
-		stopCh:   make(chan struct{}),
+		cfg:             cfg,
+		start:           time.Now(),
+		halfLife:        defaultHalfLife,
+		minEvents:       defaultMinEvents,
+		minCheckReports: defaultMinCheckReports,
+		sketchBudget:    defaultSketchBudget,
+		bytes:           NewQuantileSketch(),
+		nonzeros:        NewQuantileSketch(),
+		sources:         NewSpaceSaving(sketchCap),
+		ring:            newRing(ringSize, sampleBytes),
+		active:          make(map[anomalyKey]*activeAnomaly),
+		stopCh:          make(chan struct{}),
 	}
 	e.stride.Store(1)
 	return e
 }
-
-// Config returns the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Bind attaches the telemetry registry (nil = telemetry.Default). Later
 // calls are ignored. Safe on a nil engine.
@@ -415,7 +378,7 @@ func (e *Engine) ObserveEndpoint(batch bool) {
 // counters, crashed whether the run crashed. Everything inside is O(1),
 // and under load the sketch block amortizes to O(1/stride): counters and
 // exact sums are always a handful of atomic adds, while the mutex-guarded
-// sketches see a uniform 1-in-stride subsample once SketchBudget is
+// sketches see a uniform 1-in-stride subsample once the sketch budget is
 // exceeded within a tick. Heavy-hitter offers carry the stride as a
 // weight so their counts stay calibrated to the full stream.
 func (e *Engine) ObserveAccepted(runID uint64, shape, wireBytes, nonzeros int, sampleTotal uint64, crashed bool) {
@@ -434,8 +397,7 @@ func (e *Engine) ObserveAccepted(runID uint64, shape, wireBytes, nonzeros int, s
 	if k > 1 && e.seq.Add(1)%k != 0 {
 		return
 	}
-	if n := e.sketchUpdates.Add(1); e.cfg.SketchBudget > 0 &&
-		n > uint64(e.cfg.SketchBudget) && k < maxSketchStride {
+	if n := e.sketchUpdates.Add(1); n > e.sketchBudget && k < maxSketchStride {
 		if e.stride.CompareAndSwap(k, k*2) {
 			e.sketchUpdates.Store(0)
 		}
@@ -520,15 +482,15 @@ func (e *Engine) Tick() {
 	}
 	e.lastTick = now
 
-	// EWMA weight for this window from the half-life: after HalfLife of
+	// EWMA weight for this window from the half-life: after halfLife of
 	// quiet the baseline has decayed by half, regardless of tick cadence.
-	decay := math.Exp2(-dt / e.cfg.HalfLife.Seconds())
+	decay := math.Exp2(-dt / e.halfLife.Seconds())
 
 	// Sketch-stride AIMD down: a tick that used well under its sketch
 	// budget halves the stride. Zero updates means no traffic at all —
 	// no evidence about rate, so the stride holds until traffic resumes.
-	if upd := e.sketchUpdates.Swap(0); e.cfg.SketchBudget > 0 && upd > 0 {
-		if k := e.stride.Load(); k > 1 && upd*4 < uint64(e.cfg.SketchBudget) {
+	if upd := e.sketchUpdates.Swap(0); upd > 0 {
+		if k := e.stride.Load(); k > 1 && upd*4 < e.sketchBudget {
 			e.stride.CompareAndSwap(k, k/2)
 		}
 	}
@@ -549,11 +511,11 @@ func (e *Engine) Tick() {
 			acceptBaseline = baseline
 		}
 		// Spike rule: judged against the pre-update baseline, floored at
-		// MinRate so a first burst after silence still registers, and
+		// minRate so a first burst after silence still registers, and
 		// only with a meaningful absolute count. The accept tracker is
 		// exempt — more traffic than usual is load, not an anomaly.
-		if i != trkAccept && e.ticked[i] > 0 && w >= e.cfg.MinEvents &&
-			rate > e.cfg.SpikeFactor*math.Max(baseline, e.cfg.MinRate) {
+		if i != trkAccept && e.ticked[i] > 0 && w >= e.minEvents &&
+			rate > spikeFactor*math.Max(baseline, minRate) {
 			found = append(found, finding{"rate-spike", trackerName(i), rate, baseline})
 		}
 		e.ewma[i] = decay*baseline + (1-decay)*rate
@@ -568,14 +530,14 @@ func (e *Engine) Tick() {
 	// Reject-surge rule: the window's rejection ratio across all real
 	// rejections (quarantined reports were folded, so they don't count).
 	accWin := e.lastWin[trkAccept]
-	if total := accWin + rejWin; total >= e.cfg.MinEvents {
-		if ratio := float64(rejWin) / float64(total); ratio > e.cfg.RejectRatio {
-			found = append(found, finding{"reject-surge", "ingest", ratio, e.cfg.RejectRatio})
+	if total := accWin + rejWin; total >= e.minEvents {
+		if ratio := float64(rejWin) / float64(total); ratio > rejectRatio {
+			found = append(found, finding{"reject-surge", "ingest", ratio, rejectRatio})
 		}
 	}
 
-	// Ingest-stall rule: traffic was flowing (EWMA above MinRate), then
-	// StallTicks consecutive empty windows. The baseline freezes at
+	// Ingest-stall rule: traffic was flowing (EWMA above minRate), then
+	// stallTicks consecutive empty windows. The baseline freezes at
 	// onset so the stall keeps re-asserting until traffic resumes,
 	// rather than "recovering" because the EWMA decayed to nothing.
 	if accWin == 0 {
@@ -588,13 +550,13 @@ func (e *Engine) Tick() {
 	} else {
 		e.zeroRun = 0
 	}
-	if e.zeroRun >= e.cfg.StallTicks && math.Max(e.frozen, e.ewma[trkAccept]) > e.cfg.MinRate {
+	if e.zeroRun >= stallTicks && math.Max(e.frozen, e.ewma[trkAccept]) > minRate {
 		found = append(found, finding{"ingest-stall", "accept", 0, e.frozen})
 	}
 
 	// Density-drift rule: the statistical-distance verdict (density.go).
 	e.mu.Lock()
-	sv := e.dens.verdict(e.cfg.Density, e.cfg.TVThreshold, e.cfg.MinCheckReports)
+	sv := e.dens.verdict(e.cfg.Density, tvThreshold, e.minCheckReports)
 	e.mu.Unlock()
 	if sv.Verdict == "drift" {
 		found = append(found, finding{"density-drift", "sampling", sv.TVDistance, sv.Threshold})
@@ -606,7 +568,7 @@ func (e *Engine) Tick() {
 
 	// Reconcile against the active set: new findings open anomalies (and
 	// publish), persisting ones refresh, absent ones age out after
-	// RecoverTicks clear ticks (and publish recovery).
+	// recoverTicks clear ticks (and publish recovery).
 	nowMs := now.UnixMilli()
 	e.stateMu.Lock()
 	seen := make(map[anomalyKey]bool, len(found))
@@ -635,7 +597,7 @@ func (e *Engine) Tick() {
 			continue
 		}
 		a.clearStreak++
-		if a.clearStreak >= e.cfg.RecoverTicks {
+		if a.clearStreak >= recoverTicks {
 			delete(e.active, k)
 			recovered = append(recovered, a.Anomaly)
 		}
@@ -740,11 +702,11 @@ func (e *Engine) TakeSnapshot() Snapshot {
 		snap.ReportNonzeros.Mean = float64(e.nzSum.Load()) / float64(snap.Accepted)
 	}
 	snap.SketchStride = e.stride.Load()
-	snap.TopSources = e.sources.Top(e.cfg.TopK)
+	snap.TopSources = e.sources.Top(topSources)
 	snap.SourcesTracked = e.sources.Len()
 	snap.SourceEvents = e.sources.N()
-	snap.SketchCap = e.cfg.SketchCap
-	snap.Sampling = e.dens.verdict(e.cfg.Density, e.cfg.TVThreshold, e.cfg.MinCheckReports)
+	snap.SketchCap = sketchCap
+	snap.Sampling = e.dens.verdict(e.cfg.Density, tvThreshold, e.minCheckReports)
 	e.mu.Unlock()
 
 	e.stateMu.Lock()

@@ -27,13 +27,12 @@ func (s *testSink) Publish(event string, v any) {
 }
 
 func newTestEngine(sink *testSink) *Engine {
-	e := New(Config{
-		HalfLife:  100, // ~instant decay is fine; rules are ratio-based
-		MinEvents: 10,
-		// Rate/stall tests feed synthetic constant-total reports that a
-		// real density check would rightly flag; push it out of reach.
-		MinCheckReports: 1 << 30,
-	})
+	e := New(Config{})
+	e.halfLife = 100 // ~instant decay is fine; rules are ratio-based
+	e.minEvents = 10
+	// Rate/stall tests feed synthetic constant-total reports that a real
+	// density check would rightly flag; push it out of reach.
+	e.minCheckReports = 1 << 30
 	e.Bind(telemetry.NewRegistry())
 	if sink != nil {
 		e.Events = sink
@@ -72,7 +71,7 @@ func TestRejectSurgeAndRecovery(t *testing.T) {
 	if !hasAnomaly(e, "reject-surge") {
 		t.Fatalf("no reject-surge; active: %+v", e.ActiveAnomalies())
 	}
-	// RecoverTicks (default 2) clean windows retire it with an event.
+	// recoverTicks (2) clean windows retire it with an event.
 	acceptN(e, 100)
 	e.Tick()
 	if !hasAnomaly(e, "reject-surge") {
@@ -105,7 +104,7 @@ func TestRateSpike(t *testing.T) {
 	if len(e.ActiveAnomalies()) != 0 {
 		t.Fatalf("anomalies on trickle: %+v", e.ActiveAnomalies())
 	}
-	// ...and a 500-event burst outruns it by far more than SpikeFactor.
+	// ...and a 500-event burst outruns it by far more than spikeFactor.
 	acceptN(e, 100)
 	for i := 0; i < 500; i++ {
 		e.ObserveRejected(ReasonDecode, nil)
@@ -142,7 +141,7 @@ func TestIngestStallAndRecovery(t *testing.T) {
 		acceptN(e, 100)
 		e.Tick()
 	}
-	// StallTicks (default 3) empty windows: no stall before, stall after.
+	// stallTicks (3) empty windows: no stall before, stall after.
 	e.Tick()
 	e.Tick()
 	if hasAnomaly(e, "ingest-stall") {
@@ -160,7 +159,7 @@ func TestIngestStallAndRecovery(t *testing.T) {
 	if !hasAnomaly(e, "ingest-stall") {
 		t.Fatal("stall self-recovered during continuing silence")
 	}
-	// Traffic resumes: recovered after RecoverTicks clean windows.
+	// Traffic resumes: recovered after recoverTicks clean windows.
 	acceptN(e, 100)
 	e.Tick()
 	acceptN(e, 100)
@@ -171,7 +170,8 @@ func TestIngestStallAndRecovery(t *testing.T) {
 }
 
 func TestDensityDriftAnomaly(t *testing.T) {
-	e := New(Config{MinCheckReports: 50})
+	e := New(Config{})
+	e.minCheckReports = 50
 	e.Bind(telemetry.NewRegistry())
 	for i := 0; i < 100; i++ {
 		e.ObserveAccepted(uint64(i), 12, 100, 20, 20, false) // constant totals
@@ -183,7 +183,8 @@ func TestDensityDriftAnomaly(t *testing.T) {
 }
 
 func TestCrashedRunsExcludedFromDensityCheck(t *testing.T) {
-	e := New(Config{MinCheckReports: 50})
+	e := New(Config{})
+	e.minCheckReports = 50
 	e.Bind(telemetry.NewRegistry())
 	for i := 0; i < 100; i++ {
 		e.ObserveAccepted(uint64(i), 12, 100, 20, 20, true)
@@ -232,7 +233,9 @@ func TestSnapshotTotals(t *testing.T) {
 // checks the stride climbs, exact aggregates stay exact, heavy-hitter
 // counts stay calibrated, and a quiet tick walks the stride back down.
 func TestSketchStrideAdapts(t *testing.T) {
-	e := New(Config{SketchBudget: 100, MinCheckReports: 1 << 30})
+	e := New(Config{})
+	e.sketchBudget = 100
+	e.minCheckReports = 1 << 30
 	e.Bind(telemetry.NewRegistry())
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -274,17 +277,6 @@ func TestSketchStrideAdapts(t *testing.T) {
 	}
 	if got := e.TakeSnapshot().SketchStride; got != 1 {
 		t.Errorf("stride = %d after quiet ticks, want 1", got)
-	}
-}
-
-func TestSketchBudgetDisabled(t *testing.T) {
-	e := New(Config{SketchBudget: -1, MinCheckReports: 1 << 30})
-	e.Bind(telemetry.NewRegistry())
-	for i := 0; i < 50_000; i++ {
-		e.ObserveAccepted(uint64(i), 12, 50, 3, 3, false)
-	}
-	if got := e.TakeSnapshot().SketchStride; got != 1 {
-		t.Errorf("stride = %d with adaptation disabled, want 1", got)
 	}
 }
 

@@ -21,7 +21,7 @@ type BadReport struct {
 	// RunID is set when the payload decoded far enough to carry one
 	// (quarantined reports); 0 otherwise.
 	RunID uint64 `json:"run_id,omitempty"`
-	// Size is the original payload length; Hex holds at most SampleBytes
+	// Size is the original payload length; Hex holds at most 128 bytes
 	// of it, Truncated says whether anything was cut.
 	Size      int    `json:"size"`
 	Truncated bool   `json:"truncated"`
@@ -36,14 +36,9 @@ type ring struct {
 	sampleBytes int
 }
 
-func newRing(size, sampleBytes int) *ring {
-	if size < 1 {
-		size = 1
-	}
-	if sampleBytes < 1 {
-		sampleBytes = 128
-	}
-	return &ring{buf: make([]BadReport, 0, size), sampleBytes: sampleBytes}
+// newRing retains the last size payloads, keep bytes of each.
+func newRing(size, keep int) *ring {
+	return &ring{buf: make([]BadReport, 0, size), sampleBytes: keep}
 }
 
 // record retains one bad payload, overwriting the oldest entry when

@@ -10,8 +10,7 @@ import (
 // Span is a lightweight timing span: StartSpan marks the beginning of a
 // pipeline stage, End records its duration into the registry — a
 // `span_seconds{span="<name>"}` histogram plus per-name aggregate stats
-// for the human-readable summary — and emits a structured log event when
-// JSON logging is enabled.
+// for the human-readable summary.
 type Span struct {
 	reg   *Registry
 	name  string
@@ -47,7 +46,6 @@ func (s *Span) End() time.Duration {
 		st.Max = d
 	}
 	s.reg.mu.Unlock()
-	s.reg.Event("span", map[string]any{"span": s.name, "seconds": d.Seconds()})
 	return d
 }
 

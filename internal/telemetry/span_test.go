@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -152,42 +151,6 @@ func TestHealthTransitions(t *testing.T) {
 	h.Set(HealthShuttingDown)
 	if code, body := get(); code != 503 || !strings.Contains(body, "shutting-down") {
 		t.Errorf("shutting down: %d %q", code, body)
-	}
-}
-
-func TestEventLogging(t *testing.T) {
-	r := NewRegistry()
-	r.Event("dropped", nil) // disabled: must not panic
-	var buf strings.Builder
-	r.SetLogWriter(&buf)
-	if !r.LogEnabled() {
-		t.Fatal("LogEnabled after SetLogWriter")
-	}
-	r.Event("report_accepted", map[string]any{"run_id": 7, "bytes": 123})
-	r.StartSpan("stage").End()
-	r.SetLogWriter(nil)
-	r.Event("after_disable", nil)
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d log lines: %q", len(lines), buf.String())
-	}
-	var first map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatalf("line 0 not JSON: %v", err)
-	}
-	if first["event"] != "report_accepted" || first["bytes"] != float64(123) {
-		t.Errorf("line 0 = %v", first)
-	}
-	if _, ok := first["ts"]; !ok {
-		t.Error("missing ts")
-	}
-	var second map[string]any
-	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
-		t.Fatalf("line 1 not JSON: %v", err)
-	}
-	if second["event"] != "span" || second["span"] != "stage" {
-		t.Errorf("line 1 = %v", second)
 	}
 }
 

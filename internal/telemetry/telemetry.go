@@ -2,8 +2,7 @@
 // collection infrastructure: monotonic counters, gauges, and fixed-bucket
 // histograms held in a registry, with atomics on the hot path and
 // Prometheus-text-format snapshotting for scraping; plus lightweight
-// timing spans (span.go), a health endpoint (health.go), and structured
-// JSON event logging (log.go).
+// timing spans (span.go) and a health endpoint (health.go).
 //
 // Metric names follow Prometheus conventions and may carry a constant
 // label set inline:
@@ -177,8 +176,6 @@ type Registry struct {
 	families map[string]metricKind   // family name -> kind, for TYPE consistency
 	spans    map[string]*SpanStat
 	spanSeq  []string // span names in first-start order
-	logW     io.Writer
-	logOn    atomic.Bool
 }
 
 // NewRegistry creates a registry holding only the standard
