@@ -40,21 +40,11 @@ func BuildDataset(reports []*report.Report, keep []bool) *Dataset {
 	if len(reports) == 0 {
 		return &Dataset{}
 	}
-	n := len(reports[0].Counters)
-	var idx []int
-	for j := 0; j < n; j++ {
-		if keep == nil || (j < len(keep) && keep[j]) {
-			idx = append(idx, j)
-		}
-	}
+	idx, colOf := features(reports[0].NumCounters(), keep)
 	ds := &Dataset{FeatureIdx: idx}
 	raw := make([][]float64, len(reports))
 	for i, r := range reports {
-		row := make([]float64, len(idx))
-		for jj, j := range idx {
-			row[jj] = float64(r.Counters[j])
-		}
-		raw[i] = row
+		raw[i] = denseRow(r, colOf, len(idx), nil)
 		ds.Y = append(ds.Y, r.Label())
 	}
 	// Scale to [0,1] by max, then unit variance.
@@ -391,12 +381,9 @@ func fanOut(n, workers int, f func(k int)) {
 // fresh reports, producing a compatible dataset.
 func (ds *Dataset) Project(reports []*report.Report) *Dataset {
 	out := &Dataset{FeatureIdx: ds.FeatureIdx, Scale: ds.Scale}
+	colOf := columnsOf(ds.FeatureIdx)
 	for _, r := range reports {
-		row := make([]float64, len(ds.FeatureIdx))
-		for jj, j := range ds.FeatureIdx {
-			row[jj] = float64(r.Counters[j]) / ds.Scale[jj]
-		}
-		out.X = append(out.X, row)
+		out.X = append(out.X, denseRow(r, colOf, len(ds.FeatureIdx), ds.Scale))
 		out.Y = append(out.Y, r.Label())
 	}
 	return out

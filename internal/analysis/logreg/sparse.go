@@ -57,18 +57,7 @@ func BuildSparseDataset(reports []*report.Report, keep []bool) *SparseDataset {
 	if len(reports) == 0 {
 		return &SparseDataset{}
 	}
-	n := len(reports[0].Counters)
-	// colOf maps counter index -> dataset column, -1 for dropped counters.
-	colOf := make([]int32, n)
-	var idx []int
-	for j := 0; j < n; j++ {
-		if keep == nil || (j < len(keep) && keep[j]) {
-			colOf[j] = int32(len(idx))
-			idx = append(idx, j)
-		} else {
-			colOf[j] = -1
-		}
-	}
+	idx, colOf := features(reports[0].NumCounters(), keep)
 	ds := &SparseDataset{FeatureIdx: idx}
 	rows := len(reports)
 
@@ -78,8 +67,8 @@ func BuildSparseDataset(reports []*report.Report, keep []bool) *SparseDataset {
 	ds.RowStart = make([]int32, 1, rows+1)
 	for _, r := range reports {
 		r.ForEachNonzero(func(j int, c uint64) {
-			if col := colOf[j]; col >= 0 {
-				ds.Cols = append(ds.Cols, col)
+			if j < len(colOf) && colOf[j] >= 0 {
+				ds.Cols = append(ds.Cols, colOf[j])
 				ds.Vals = append(ds.Vals, float64(c))
 			}
 		})
@@ -162,23 +151,11 @@ func BuildSparseDataset(reports []*report.Report, keep []bool) *SparseDataset {
 // Dataset.Project).
 func (ds *SparseDataset) Project(reports []*report.Report) *SparseDataset {
 	out := &SparseDataset{FeatureIdx: ds.FeatureIdx, Scale: ds.Scale}
-	maxCounter := 0
-	for _, j := range ds.FeatureIdx {
-		if j >= maxCounter {
-			maxCounter = j + 1
-		}
-	}
-	colOf := make([]int32, maxCounter)
-	for i := range colOf {
-		colOf[i] = -1
-	}
-	for col, j := range ds.FeatureIdx {
-		colOf[j] = int32(col)
-	}
+	colOf := columnsOf(ds.FeatureIdx)
 	out.RowStart = make([]int32, 1, len(reports)+1)
 	for _, r := range reports {
 		r.ForEachNonzero(func(j int, c uint64) {
-			if j >= maxCounter {
+			if j >= len(colOf) {
 				return
 			}
 			if col := colOf[j]; col >= 0 {
@@ -190,6 +167,55 @@ func (ds *SparseDataset) Project(reports []*report.Report) *SparseDataset {
 		out.Y = append(out.Y, r.Label())
 	}
 	return out
+}
+
+// features lists the counters of an n-counter space that keep retains
+// (all of them when keep is nil) and maps them to their dataset columns
+// (see columnsOf).
+func features(n int, keep []bool) ([]int, []int32) {
+	var idx []int
+	for j := 0; j < n; j++ {
+		if keep == nil || (j < len(keep) && keep[j]) {
+			idx = append(idx, j)
+		}
+	}
+	return idx, columnsOf(idx)
+}
+
+// columnsOf maps each counter index in idx to its dataset column, and
+// every other index up to the largest in idx to -1.
+func columnsOf(idx []int) []int32 {
+	maxCounter := 0
+	for _, j := range idx {
+		maxCounter = max(maxCounter, j+1)
+	}
+	colOf := make([]int32, maxCounter)
+	for i := range colOf {
+		colOf[i] = -1
+	}
+	for col, j := range idx {
+		colOf[j] = int32(col)
+	}
+	return colOf
+}
+
+// denseRow scatters r's retained nonzero counters into a fresh row of
+// the given width, at the columns colOf maps them to, each divided by
+// its column's scale when scale is given (a training row starts raw).
+func denseRow(r *report.Report, colOf []int32, columns int, scale []float64) []float64 {
+	row := make([]float64, columns)
+	r.ForEachNonzero(func(j int, c uint64) {
+		if j >= len(colOf) {
+			return
+		}
+		if col := colOf[j]; col >= 0 {
+			row[col] = float64(c)
+			if scale != nil {
+				row[col] /= scale[col]
+			}
+		}
+	})
+	return row
 }
 
 // TrainSparse fits the same model as Train — bit for bit, given the same

@@ -81,12 +81,12 @@ func (a *Accum) alloc() {
 // space). Not safe for concurrent use; callers stripe accumulators and
 // Merge them (collect.Server holds one per ingest shard).
 func (a *Accum) Fold(r *report.Report) error {
-	if a.NumCounters == 0 && a.Runs == 0 && len(r.Counters) > 0 {
-		a.NumCounters = len(r.Counters)
+	if a.NumCounters == 0 && a.Runs == 0 && r.NumCounters() > 0 {
+		a.NumCounters = r.NumCounters()
 		a.alloc()
 	}
-	if len(r.Counters) != a.NumCounters {
-		return fmt.Errorf("score: counter vector length %d, want %d", len(r.Counters), a.NumCounters)
+	if r.NumCounters() != a.NumCounters {
+		return fmt.Errorf("score: counter vector length %d, want %d", r.NumCounters(), a.NumCounters)
 	}
 	a.Runs++
 	obsTrue, obsSite := a.TrueOK, a.SiteObsOK

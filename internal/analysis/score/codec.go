@@ -74,13 +74,15 @@ func (a *Accum) EncodeStats() []byte {
 	return e.Buf
 }
 
-// DecodeAccumStats parses a payload produced by EncodeStats. spans is
-// the receiver's own site layout; decoding fails unless its cardinality
-// matches the sender's, so two collectors can only merge scoring state
-// when they agree on the site structure. The result is suitable as a
-// Merge source (its fold scratch is rebuilt lazily if it is ever used
-// as a Merge target that adopts shape).
-func DecodeAccumStats(data []byte, spans []SiteSpan) (*Accum, error) {
+// DecodeAccumStats parses a payload produced by EncodeStats.
+// numCounters and spans are the receiver's own counter space and site
+// layout; decoding fails unless the sender's match them, so two
+// collectors can only merge scoring state when they agree on the program
+// structure, and a payload claiming another counter space is refused
+// before the dense statistics are allocated for it. The result is
+// suitable as a Merge source (its fold scratch is rebuilt lazily if it
+// is ever used as a Merge target that adopts shape).
+func DecodeAccumStats(data []byte, numCounters int, spans []SiteSpan) (*Accum, error) {
 	d := wire.NewDec(data, 0)
 	n := d.Uvarint()
 	nSpans := d.Uvarint()
@@ -89,6 +91,9 @@ func DecodeAccumStats(data []byte, spans []SiteSpan) (*Accum, error) {
 	entries := d.Uvarint()
 	if d.Bad() || n > 1<<28 || entries > n || failures > runs {
 		return nil, ErrBadAccum
+	}
+	if n != uint64(numCounters) {
+		return nil, fmt.Errorf("score: accumulator has %d counters, want %d", n, numCounters)
 	}
 	if int(nSpans) != len(spans) {
 		return nil, fmt.Errorf("score: accumulator has %d site spans, want %d", nSpans, len(spans))

@@ -1,7 +1,10 @@
 package score
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cbi/internal/report"
@@ -40,7 +43,7 @@ func statsEqual(a, b *Accum) bool {
 func TestAccumStatsRoundTrip(t *testing.T) {
 	spans := testSpans()
 	a := foldedAccum(t, spans, 30)
-	got, err := DecodeAccumStats(a.EncodeStats(), spans)
+	got, err := DecodeAccumStats(a.EncodeStats(), 8, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +57,11 @@ func TestAccumStatsRoundTrip(t *testing.T) {
 	}
 
 	// Span-cardinality disagreement is a refusal, not a silent remap.
-	if _, err := DecodeAccumStats(a.EncodeStats(), nil); err == nil {
+	if _, err := DecodeAccumStats(a.EncodeStats(), 8, nil); err == nil {
 		t.Error("span mismatch accepted")
+	}
+	if _, err := DecodeAccumStats(a.EncodeStats(), 9, spans); err == nil {
+		t.Error("counter-space mismatch accepted")
 	}
 }
 
@@ -111,8 +117,60 @@ func TestDecodeAccumStatsRejectsMalformed(t *testing.T) {
 		"trailing bytes": append(append([]byte{}, good...), 0),
 	}
 	for name, data := range cases {
-		if _, err := DecodeAccumStats(data, spans); err == nil {
+		if _, err := DecodeAccumStats(data, 8, spans); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
+}
+
+// FuzzAccumStats: on arbitrary bytes the decoder does not panic,
+// allocates no more than the receiver's own counter space and the input
+// length account for (the mean over repeated calls, so the fuzzing
+// engine's own allocations wash out), and whatever it accepts
+// re-encodes to bytes that decode to the same accumulator and encode
+// again to themselves.
+func FuzzAccumStats(f *testing.F) {
+	spans := testSpans()
+	good := NewAccum(8, spans)
+	for i := 0; i < 30; i++ {
+		r := &report.Report{Crashed: i%3 == 0, Counters: make([]uint64, 8)}
+		r.Counters[i%8], r.Counters[(i*5)%8] = uint64(i+1), 1
+		good.Fold(r)
+	}
+	enc := good.EncodeStats()
+	for cut := 0; cut <= len(enc); cut++ {
+		f.Add(enc[:cut])
+	}
+	f.Add(NewAccum(8, spans).EncodeStats())
+	// A counter space, and an entry count, far beyond the receiver's.
+	huge := binary.AppendUvarint(nil, 1<<28)
+	f.Add(append(huge, 3, 0, 0, 0, 0))
+	f.Add(append([]byte{8, 3, 0, 0}, binary.AppendUvarint(nil, 1<<28)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const reps = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			DecodeAccumStats(data, 8, spans)
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := (after.TotalAlloc - before.TotalAlloc) / reps; alloc > 2<<10+8*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		a, err := DecodeAccumStats(data, 8, spans)
+		if err != nil {
+			return
+		}
+		enc := a.EncodeStats()
+		again, err := DecodeAccumStats(enc, 8, spans)
+		if err != nil {
+			t.Fatalf("re-encoded accumulator does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(a, again) {
+			t.Fatalf("round trip:\n%+v\n%+v", a, again)
+		}
+		if !bytes.Equal(again.EncodeStats(), enc) {
+			t.Fatal("encoding is not a fixed point")
+		}
+	})
 }

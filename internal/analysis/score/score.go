@@ -74,10 +74,8 @@ func Score(db *report.DB, spans []SiteSpan) []Predicate {
 		for i := range siteObserved {
 			siteObserved[i] = false
 		}
-		for c, v := range r.Counters {
-			if v == 0 {
-				continue
-			}
+		for _, e := range r.Nonzeros() {
+			c := int(e.Index)
 			if fail {
 				preds[c].TrueFail++
 			} else {

@@ -772,7 +772,7 @@ func (s *Server) accountAccepted(rep *report.Report) {
 		for _, c := range nz {
 			total += c.Value
 		}
-		s.Quality.ObserveAccepted(rep.RunID, len(rep.Counters), rep.WireLen(), len(nz), total, rep.Crashed)
+		s.Quality.ObserveAccepted(rep.RunID, rep.NumCounters(), rep.WireLen(), len(nz), total, rep.Crashed)
 	}
 }
 
@@ -862,16 +862,16 @@ func (s *Server) validate(rep *report.Report) error {
 	if s.program != "" && rep.Program != "" && rep.Program != s.program {
 		return fmt.Errorf("report: program %q does not match collector %q", rep.Program, s.program)
 	}
-	want := s.shape.Load()
-	if want == 0 && len(rep.Counters) > 0 {
-		if !s.shape.CompareAndSwap(0, int64(len(rep.Counters))) {
+	want, n := s.shape.Load(), int64(rep.NumCounters())
+	if want == 0 && n > 0 {
+		if !s.shape.CompareAndSwap(0, n) {
 			want = s.shape.Load()
 		} else {
-			want = int64(len(rep.Counters))
+			want = n
 		}
 	}
-	if int64(len(rep.Counters)) != want {
-		return fmt.Errorf("report: counter vector length %d, want %d", len(rep.Counters), want)
+	if n != want {
+		return fmt.Errorf("report: counter vector length %d, want %d", n, want)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package collect
 
 import (
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +16,21 @@ func mkReport(id uint64, crashed bool) *report.Report {
 		Crashed:  crashed,
 		Counters: []uint64{id, 0, 1},
 	}
+}
+
+// sameReport reports whether a collector's decoded copy of a report is
+// the report that was sent: run, outcome, counter space and nonzero
+// pairs (a decoded report has no dense vector to compare).
+func sameReport(got, want *report.Report) bool {
+	return got.RunID == want.RunID && got.Crashed == want.Crashed &&
+		got.NumCounters() == want.NumCounters() && slices.Equal(pairs(got), pairs(want))
+}
+
+// pairs lists a report's nonzero counters without building its cache.
+func pairs(r *report.Report) []report.CounterNZ {
+	var out []report.CounterNZ
+	r.ForEachNonzero(func(i int, c uint64) { out = append(out, report.CounterNZ{Index: int32(i), Value: c}) })
+	return out
 }
 
 func TestServerRoundTripOverHTTP(t *testing.T) {

@@ -585,12 +585,8 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	}
 	var acc *score.Accum
 	if env.accRaw != nil {
-		if acc, err = score.DecodeAccumStats(env.accRaw, s.Sites); err != nil {
+		if acc, err = score.DecodeAccumStats(env.accRaw, env.numCounters, s.Sites); err != nil {
 			s.rejectMerge(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if acc.NumCounters != env.numCounters {
-			s.rejectMerge(w, http.StatusBadRequest, "merge: accumulator shape disagrees with envelope")
 			return
 		}
 	}

@@ -157,7 +157,7 @@ func (s *Server) restoreSpillState(sp *spillState, st *stateImage, pending []fed
 		if st.numSpans != len(s.Sites) {
 			panic(fmt.Sprintf("collect: spill state has %d site spans, server has %d", st.numSpans, len(s.Sites)))
 		}
-		seedAcc, err := score.DecodeAccumStats(st.accRaw, s.Sites)
+		seedAcc, err := score.DecodeAccumStats(st.accRaw, st.numCounters, s.Sites)
 		if err != nil {
 			panic(fmt.Sprintf("collect: spill state accumulator: %v", err))
 		}

@@ -326,7 +326,7 @@ func (s *Server) foldStaged(r *stageRing, sh *ingestShard, sc *folderScratch, n 
 // stays "seconds spent folding" in both fold paths.
 func (s *Server) foldStagedMerged(sh *ingestShard, sc *folderScratch, items []stageItem) {
 	t0 := time.Now()
-	sc.bs.Reset(len(items[0].rep.Counters))
+	sc.bs.Reset(items[0].rep.NumCounters())
 	for idx := range items {
 		it := &items[idx]
 		sc.spans[idx] = it.span.StartChild("server.fold")

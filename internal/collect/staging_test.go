@@ -107,8 +107,7 @@ func TestStagedIngestMatchesSerialOracle(t *testing.T) {
 	}
 	for i, got := range db.Reports {
 		want := all[i] // run IDs were assigned in order, DB sorts by run ID
-		if got.RunID != want.RunID || got.Crashed != want.Crashed ||
-			!reflect.DeepEqual(got.Counters, want.Counters) {
+		if !sameReport(got, want) {
 			t.Fatalf("DB report %d = run %d (crashed=%v), want run %d (crashed=%v)",
 				i, got.RunID, got.Crashed, want.RunID, want.Crashed)
 		}
@@ -473,8 +472,7 @@ func TestEveryWayInIsTheSameFoldAndTheSameBooks(t *testing.T) {
 							t.Fatalf("DB has %d reports, want %d", db.Len(), n)
 						}
 						for i, got := range db.Reports {
-							if want := all[i]; got.RunID != want.RunID || got.Crashed != want.Crashed ||
-								!reflect.DeepEqual(got.Counters, want.Counters) {
+							if want := all[i]; !sameReport(got, want) {
 								t.Fatalf("DB report %d is run %d, want run %d", i, got.RunID, want.RunID)
 							}
 						}

@@ -1,6 +1,8 @@
 package quality
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -113,4 +115,43 @@ func TestEngineAbsorbFeedsTotalsAndWindows(t *testing.T) {
 	if !nilEngine.TotalsDigest().IsZero() {
 		t.Error("nil engine digest not zero")
 	}
+}
+
+// FuzzDigest: on arbitrary bytes the decoder does not panic and
+// allocates at most a constant (the mean over repeated calls, so the
+// fuzzing engine's own allocations wash out), and whatever it accepts
+// re-encodes to bytes that decode to the same digest and encode again
+// to themselves.
+func FuzzDigest(f *testing.F) {
+	for _, d := range []Digest{{}, testDigest(1), testDigest(1 << 40)} {
+		enc := d.Encode()
+		for cut := 0; cut <= len(enc); cut++ {
+			f.Add(enc[:cut])
+		}
+	}
+	f.Add(bytes.Repeat([]byte{0xff}, 11))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const reps = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			DecodeDigest(data)
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := (after.TotalAlloc - before.TotalAlloc) / reps; alloc > 256 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		d, err := DecodeDigest(data)
+		if err != nil {
+			return
+		}
+		enc := d.Encode()
+		again, err := DecodeDigest(enc)
+		if err != nil || again != d {
+			t.Fatalf("round trip: %+v, %v; want %+v", again, err, d)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatal("encoding is not a fixed point")
+		}
+	})
 }

@@ -65,8 +65,8 @@ func (b *BatchStats) Reset(numCounters int) {
 // Observe merges one report into the batch. The report's shape must
 // match the Reset size.
 func (b *BatchStats) Observe(r *Report) error {
-	if len(r.Counters) != b.NumCounters {
-		return fmt.Errorf("report: counter vector length %d, want %d", len(r.Counters), b.NumCounters)
+	if r.NumCounters() != b.NumCounters {
+		return fmt.Errorf("report: counter vector length %d, want %d", r.NumCounters(), b.NumCounters)
 	}
 	b.Runs++
 	cnt := b.SuccRuns

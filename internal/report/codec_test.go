@@ -11,9 +11,9 @@ import (
 )
 
 // TestCodecAllocations pins what the ingest hot path pays per call on
-// bc-shaped reports: one buffer per Encode and per EncodeBatch, three
-// objects per Decode (Report, dense vector, pairs), and for a whole
-// 32-report request three slabs and the result slice.
+// bc-shaped reports: one buffer per Encode and per EncodeBatch, two
+// objects per Decode (Report, pairs), and for a whole 32-report request
+// two slabs and the result slice.
 func TestCodecAllocations(t *testing.T) {
 	if !poolKeeps() {
 		t.Skip("sync.Pool drops entries here (race detector?); the encoder's pooled sizing pass cannot be held to a count")
@@ -31,8 +31,8 @@ func TestCodecAllocations(t *testing.T) {
 	}{
 		{"Encode", 1, func() { rep.Encode() }},
 		{"EncodeBatch(32)", 2, func() { EncodeBatch(batch) }},
-		{"Decode", 3, func() { Decode(enc) }},
-		{"DecodeBatch(32)", 4, func() { DecodeBatch(body) }},
+		{"Decode", 2, func() { Decode(enc) }},
+		{"DecodeBatch(32)", 3, func() { DecodeBatch(body) }},
 	} {
 		if got := testing.AllocsPerRun(50, c.f); got > c.max {
 			t.Errorf("%s: %.1f allocations per call, want at most %.0f", c.name, got, c.max)
@@ -166,11 +166,11 @@ func TestHostileLengthsAllocateNothing(t *testing.T) {
 func TestDecodeShaped(t *testing.T) {
 	enc := sampleReport().Encode()
 	want, _ := Decode(enc)
-	got, err := DecodeShaped(enc, len(want.Counters))
+	got, err := DecodeShaped(enc, want.NumCounters())
 	if err != nil || !reflect.DeepEqual(want, got) {
 		t.Fatalf("DecodeShaped with the right shape: %+v, %v", got, err)
 	}
-	if _, err := DecodeShaped(enc, len(want.Counters)+1); !errors.Is(err, ErrShape) {
+	if _, err := DecodeShaped(enc, want.NumCounters()+1); !errors.Is(err, ErrShape) {
 		t.Errorf("wrong shape: error %v, want ErrShape", err)
 	}
 	body := EncodeBatch(batchReports(4))
@@ -203,9 +203,9 @@ func TestTruncationRejectedAtEveryOffset(t *testing.T) {
 }
 
 // TestBatchReportsDoNotShareWritableMemory: reports of one batch are
-// carved from shared slabs, so each slice is capped at its own end — an
-// append to one report's vector or cache must reallocate rather than
-// write into its neighbour's.
+// carved from shared slabs, so each pair slice is capped at its own end
+// — an append to one report's pairs must reallocate rather than write
+// into its neighbour's.
 func TestBatchReportsDoNotShareWritableMemory(t *testing.T) {
 	src := batchReports(6)
 	dec, err := DecodeBatch(EncodeBatch(src))
@@ -213,11 +213,9 @@ func TestBatchReportsDoNotShareWritableMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range dec {
-		if cap(r.Counters) != len(r.Counters) || cap(r.nz) != len(r.nz) {
-			t.Fatalf("report %d: slab slices not capped (counters %d/%d, pairs %d/%d)",
-				i, len(r.Counters), cap(r.Counters), len(r.nz), cap(r.nz))
+		if cap(r.nz) != len(r.nz) {
+			t.Fatalf("report %d: slab pairs not capped (%d/%d)", i, len(r.nz), cap(r.nz))
 		}
-		_ = append(r.Counters, 99)
 		_ = append(r.nz, CounterNZ{Index: 1, Value: 99})
 	}
 	for i, r := range dec {
@@ -227,12 +225,12 @@ func TestBatchReportsDoNotShareWritableMemory(t *testing.T) {
 	}
 }
 
-// TestBatchSlabsAreCapped: a batch whose vectors exceed one slab chunk
+// TestBatchSlabsAreCapped: a batch whose pairs exceed one slab chunk
 // still decodes, chunk by chunk, to what the reference decodes.
 func TestBatchSlabsAreCapped(t *testing.T) {
 	reports := make([]*Report, 9)
 	for i := range reports {
-		r := &Report{RunID: uint64(i), Program: "wide", Counters: make([]uint64, slabCounters/4+1)}
+		r := &Report{RunID: uint64(i), Program: "wide", Counters: make([]uint64, 3*(slabPairs/4+1))}
 		for j := i; j < len(r.Counters); j += 3 {
 			r.Counters[j] = uint64(j + 1)
 		}
@@ -244,7 +242,100 @@ func TestBatchSlabsAreCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := DecodeBatch(body)
-	if err != nil || !reflect.DeepEqual(want, got) {
+	if err != nil || !reflect.DeepEqual(sparseForms(want), got) {
 		t.Fatalf("chunked batch decode differs from the reference (err %v)", err)
+	}
+}
+
+// TestLenientInputDecodesToCanonicalPairs: input Encode never writes — a
+// repeated index, an explicit zero, a delta that wraps the index
+// backwards — decodes to the pairs of the vector the reference decoder
+// fills from it, in Encode's order, and only the first two kinds are
+// flagged lenient.
+func TestLenientInputDecodesToCanonicalPairs(t *testing.T) {
+	base := (&Report{Program: "p", Counters: make([]uint64, 8)}).Encode()
+	head := base[:len(base)-2] // drop "#nonzero = 0, trace length = 0"
+	const back = ^uint64(0)    // a delta of 2^64-1 steps the index back by one
+	for _, c := range []struct {
+		name    string
+		pairs   []uint64 // delta, value, delta, value, ...
+		want    []CounterNZ
+		lenient bool
+	}{
+		{"repeated index: the last value wins", []uint64{3, 5, 0, 9}, []CounterNZ{{3, 9}}, true},
+		{"a zero after a value clears it", []uint64{3, 5, 0, 0}, []CounterNZ{}, true},
+		{"explicit zero", []uint64{2, 0, 3, 4}, []CounterNZ{{5, 4}}, true},
+		{"a value after a zero", []uint64{3, 0, 0, 7, 2, 1}, []CounterNZ{{3, 7}, {5, 1}}, true},
+		{"wrap onto a written index", []uint64{5, 1, 1, 2, back, 3}, []CounterNZ{{5, 3}, {6, 2}}, false},
+		{"wrap below the first index", []uint64{6, 1, back - 3, 2}, []CounterNZ{{2, 2}, {6, 1}}, false},
+	} {
+		data := binary.AppendUvarint(append([]byte(nil), head...), uint64(len(c.pairs)/2))
+		for _, v := range c.pairs {
+			data = binary.AppendUvarint(data, v)
+		}
+		data = append(data, 0) // no trace
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got.Nonzeros(), c.want) || got.Lenient() != c.lenient || got.Counters != nil {
+			t.Errorf("%s: pairs %v lenient %v, want %v and %v", c.name, got.Nonzeros(), got.Lenient(), c.want, c.lenient)
+		}
+		if ref, err := refDecode(data); err != nil || !reflect.DeepEqual(sparseForm(ref), got) {
+			t.Errorf("%s: differs from the reference decoder's vector (%v)", c.name, err)
+		}
+		if enc := got.Encode(); !bytes.Equal(enc, (&Report{Program: "p", Counters: denseOf(got)}).Encode()) {
+			t.Errorf("%s: re-encodes to %x, not to its vector's encoding", c.name, enc)
+		}
+	}
+}
+
+// denseOf expands a report's pairs into a dense vector.
+func denseOf(r *Report) []uint64 {
+	v := make([]uint64, r.NumCounters())
+	r.ForEachNonzero(func(i int, c uint64) { v[i] = c })
+	return v
+}
+
+// TestDecodeAllocatesForBytesNotCounterSpace: a decoded report costs
+// memory in proportion to the bytes that carried it, never to the
+// counter space its header claims — a dense vector cost 8 bytes a
+// counter, 2 GiB for an 18-byte report claiming MaxCounters and 14 KB
+// for each empty report of a 1 792-counter batch.
+func TestDecodeAllocatesForBytesNotCounterSpace(t *testing.T) {
+	huge := hostileReport(MaxCounters, 1) // one counter set in a 2^28-counter space
+	if r, err := Decode(huge); err != nil || r.NumCounters() != MaxCounters || len(r.Nonzeros()) != 1 {
+		t.Fatalf("test set-up: %v", err)
+	}
+	empties := make([]*Report, 256)
+	for i := range empties {
+		empties[i] = &Report{RunID: uint64(i), Program: "bc", Counters: make([]uint64, 1792)}
+	}
+	body := EncodeBatch(empties)
+	const reps = 20
+	for _, c := range []struct {
+		name      string
+		maxAllocs float64
+		maxBytes  uint64
+		f         func()
+	}{
+		// The Report and its one pair.
+		{"Decode of a MaxCounters claim", 2, 1 << 10, func() { Decode(huge) }},
+		// The result slice and one slab of Report structs: about 160
+		// bytes a frame against 16 bytes of body.
+		{"DecodeBatch of 256 empty 1792-counter reports", 2, uint64(16 * len(body)), func() { DecodeBatch(body) }},
+	} {
+		c.f() // intern the program name
+		if got := testing.AllocsPerRun(reps, c.f); got > c.maxAllocs {
+			t.Errorf("%s: %.1f allocations per call, want at most %.0f", c.name, got, c.maxAllocs)
+		}
+		perCall := allocatedBy(func() {
+			for i := 0; i < reps; i++ {
+				c.f()
+			}
+		}) / reps
+		if perCall >= c.maxBytes {
+			t.Errorf("%s: %d bytes per call, want < %d", c.name, perCall, c.maxBytes)
+		}
 	}
 }

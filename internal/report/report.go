@@ -18,6 +18,9 @@ import (
 // Report is the result of one remote run. Its size is dominated by the
 // counter vector, whose length is fixed by the instrumented program, "
 // largely independent of the sampling density or running time" (§2.5).
+// A report built in process (the VM, a fleet generator) holds the dense
+// Counters; a decoded one never does, only its nonzero pairs (Nonzeros)
+// and its counter-space size (NumCounters).
 type Report struct {
 	// RunID identifies the run (assigned by the generator or collector).
 	RunID uint64
@@ -31,23 +34,22 @@ type Report struct {
 	TrapKind string
 	// ExitCode is main's return value for successful runs.
 	ExitCode int64
-	// Counters holds how often each predicate was observed true.
+	// Counters holds how often each predicate was observed true (nil if decoded).
 	Counters []uint64
 	// Trace optionally holds the site IDs of the last few sampled probe
 	// firings in order (the bounded partial trace the paper defers to
 	// future work in §2.5).
 	Trace []int
 
-	// nz caches the nonzero (index, value) pairs of Counters in ascending
-	// index order. At realistic sampling densities a counter vector is
-	// overwhelmingly zeros, so consumers that only care about observed
-	// predicates (Aggregate.Fold, DB.TotalCounts, elimination trials,
-	// sparse regression datasets) iterate this instead of scanning the
-	// dense vector. Decode populates it for free from the wire pairs;
-	// Nonzeros builds it on demand. The cache assumes Counters is not
-	// mutated after it is built — every pipeline path treats reports as
-	// immutable once constructed.
+	// nz holds the nonzero (index, value) pairs in ascending index order.
+	// At realistic sampling densities a counter vector is overwhelmingly
+	// zeros, so every consumer iterates this instead of scanning a dense
+	// vector. Decode fills it from the wire pairs, and it is all a decoded
+	// report has; for a report built in process Nonzeros builds it on
+	// demand from Counters, which must not be mutated after that — every
+	// pipeline path treats reports as immutable once constructed.
 	nz []CounterNZ
+	n  int // the counter-space size of a decoded report
 
 	// wire is the encoded size in bytes this report arrived as (set by
 	// Decode; 0 for reports constructed in process), and lenient records
@@ -56,6 +58,16 @@ type Report struct {
 	// Ingest-quality accounting reads both via WireLen and Lenient.
 	wire    int
 	lenient bool
+}
+
+// NumCounters returns the size of the report's counter space: the length
+// of Counters for a report built in process, the size its encoding
+// claimed for a decoded one.
+func (r *Report) NumCounters() int {
+	if r.Counters != nil {
+		return len(r.Counters)
+	}
+	return r.n
 }
 
 // WireLen returns the encoded size in bytes the report was decoded
@@ -76,10 +88,9 @@ type CounterNZ struct {
 }
 
 // Nonzeros returns the report's nonzero counters in ascending index
-// order, building and caching the sparse form on first call. The build
-// mutates the report, so concurrent callers must ensure the cache exists
-// (call Nonzeros once, or Decode the report) before sharing it across
-// goroutines; ForEachNonzero never mutates and is always safe.
+// order. On a report built in process the first call builds and caches
+// them, mutating it, so concurrent callers must call Nonzeros once before
+// sharing it across goroutines; ForEachNonzero never mutates.
 func (r *Report) Nonzeros() []CounterNZ {
 	if r.nz == nil {
 		n := 0
@@ -94,9 +105,9 @@ func (r *Report) Nonzeros() []CounterNZ {
 }
 
 // CachedNonzeros returns the sparse form if the report carries one
-// (every strictly decoded report does, and every report Nonzeros was
-// called on) and nil if it does not; it never mutates the report. The
-// per-report folds range over it, so that their inner loops do not
+// (every decoded report does, and every report Nonzeros was called on)
+// and nil if it does not; it never mutates the report. The per-report
+// folds range over it, so that their inner loops do not
 // depend on the compiler inlining ForEachNonzero and its callback, and
 // fall back to ForEachNonzero for a report without a cache.
 func (r *Report) CachedNonzeros() []CounterNZ { return r.nz }
@@ -167,12 +178,10 @@ var ErrBadReport = errors.New("report: malformed encoding")
 var ErrShape = errors.New("report: counter vector length does not match")
 
 // The encoder works from the report's nonzero pairs alone: the cache
-// when the report carries one, otherwise pairs gathered by one scan of
-// the dense vector into pooled scratch. A sizing pass over the pairs
-// gives the exact length, so the bytes are written once, in place, into
-// a buffer that never grows. The cache is only ever built from the
-// vector it sits beside (Nonzeros, Decode) and is dropped on lenient
-// input, so both sources list the same pairs and yield the same bytes.
+// when the report carries one (Nonzeros builds it from the vector beside
+// it, so both list the same pairs), otherwise pairs gathered by one scan
+// of the vector into pooled scratch. A sizing pass over the pairs gives
+// the exact length, so the bytes are written once, in place.
 
 // encodePlan is the sizing pass of one Encode or EncodeBatch call.
 type encodePlan struct {
@@ -233,7 +242,7 @@ func (r *Report) encodedLen(nz []CounterNZ) int {
 		wire.UvarintLen(uint64(len(r.Program))) + len(r.Program) + 1 +
 		wire.UvarintLen(uint64(len(r.TrapKind))) + len(r.TrapKind) +
 		wire.VarintLen(r.ExitCode) +
-		wire.UvarintLen(uint64(len(r.Counters))) + wire.UvarintLen(uint64(len(nz))) +
+		wire.UvarintLen(uint64(r.NumCounters())) + wire.UvarintLen(uint64(len(nz))) +
 		2*len(nz) + wire.UvarintLen(uint64(len(r.Trace)))
 	prev := int32(0)
 	for _, e := range nz {
@@ -262,7 +271,7 @@ func (r *Report) appendEncoded(buf []byte, nz []CounterNZ) []byte {
 	}
 	e.String(r.TrapKind)
 	e.Varint(r.ExitCode)
-	e.Uvarint(uint64(len(r.Counters)))
+	e.Uvarint(uint64(r.NumCounters()))
 	e.Uvarint(uint64(len(nz)))
 	prev := int32(0)
 	for _, c := range nz {
@@ -294,34 +303,30 @@ func Decode(data []byte) (*Report, error) { return DecodeShaped(data, 0) }
 
 // DecodeShaped is Decode for a receiver that knows its counter space:
 // with numCounters nonzero, a report claiming any other vector length is
-// rejected with ErrShape before its vector is allocated.
+// rejected with ErrShape.
 func DecodeShaped(data []byte, numCounters int) (*Report, error) {
 	r := new(Report)
 	var mem slab
-	if err := mem.decode(r, data, numCounters, 1, 0); err != nil {
+	if err := mem.decode(r, data, numCounters, 0); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // A slab hands decoded reports their memory. DecodeBatch carves the
-// Report structs, the dense vectors and the pair slices of a whole
-// request out of one chunk each instead of three small objects per
-// report; the zero slab, given no look-ahead, allocates exactly what one
-// report needs. Chunks are capped, so a single report retained from a
-// batch pins at most slabReports structs, slabCounters counters and
-// slabPairs pairs besides its own: about 1 MiB.
+// Report structs and the pair slices of a whole request out of one chunk
+// each instead of two small objects per report; the zero slab, given no
+// look-ahead, allocates exactly what one report needs. Chunks are capped,
+// so a single report retained from a batch pins at most slabReports
+// structs and slabPairs pairs besides its own: about 550 KiB.
 type slab struct {
-	reports  []Report
-	counters []uint64
-	pairs    []CounterNZ
-	trap     string // the trap kind decoded last
+	reports []Report
+	pairs   []CounterNZ
 }
 
 const (
-	slabReports  = 256     // 36 KiB of Report structs
-	slabCounters = 1 << 16 // 512 KiB of counters
-	slabPairs    = 1 << 15 // 512 KiB of pairs
+	slabReports = 256     // 38 KiB of Report structs
+	slabPairs   = 1 << 15 // 512 KiB of pairs
 )
 
 // report returns a zero Report; frames is how many the caller still
@@ -333,20 +338,6 @@ func (m *slab) report(frames int) *Report {
 	r := &m.reports[0]
 	m.reports = m.reports[1:]
 	return r
-}
-
-// vector returns a zeroed dense vector of length n, from a chunk that
-// holds up to frames such vectors.
-func (m *slab) vector(n, frames int) []uint64 {
-	if n == 0 {
-		return []uint64{}
-	}
-	if n > len(m.counters) {
-		m.counters = make([]uint64, n*max(1, min(frames, slabCounters/n)))
-	}
-	v := m.counters[:n:n]
-	m.counters = m.counters[n:]
-	return v
 }
 
 // nonzeros returns a pair slice of length n; ahead is how many more
@@ -363,44 +354,39 @@ func (m *slab) nonzeros(n, ahead int) []CounterNZ {
 	return nz
 }
 
-// lastProgram remembers the program name decoded last. A collector and a
-// report file name one program in every report; reusing the string saves
-// each decoded report its own copy.
-var lastProgram atomic.Pointer[string]
+// lastProgram and lastTrap remember the program name and the trap kind
+// decoded last. A collector and a report file name one program in every
+// report, and their crashes mostly share a trap kind; reusing the string
+// saves each decoded report its own copy.
+var lastProgram, lastTrap atomic.Pointer[string]
 
-func internProgram(b []byte) string {
+func intern(last *atomic.Pointer[string], b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if p := lastProgram.Load(); p != nil && *p == string(b) {
+	if p := last.Load(); p != nil && *p == string(b) {
 		return *p
 	}
 	s := string(b)
-	lastProgram.Store(&s)
+	last.Store(&s)
 	return s
 }
 
 // decode parses one CBR1 frame into the zero Report r, taking its
-// memory from m. want, when nonzero, is the only counter-vector length
-// accepted; frames and ahead size the slab chunks (see vector and
-// nonzeros). Every length a header claims is checked against the bytes
-// that remain before anything is allocated for it.
-func (m *slab) decode(r *Report, data []byte, want, frames, ahead int) error {
+// memory from m. want, when nonzero, is the only counter-space size
+// accepted; ahead sizes the pair chunk (see nonzeros). Every length a
+// header claims is checked against the bytes that remain before anything
+// is allocated for it; the counter space itself is never allocated.
+func (m *slab) decode(r *Report, data []byte, want, ahead int) error {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return ErrBadReport
 	}
 	d := wire.NewDec(data, len(magic))
 	r.wire = len(data)
 	r.RunID = d.Uvarint()
-	r.Program = internProgram(d.Bytes())
+	r.Program = intern(&lastProgram, d.Bytes())
 	r.Crashed = d.Byte() != 0
-	if b := d.Bytes(); len(b) > 0 {
-		// The crashes of one batch mostly share a trap kind, and a string.
-		if string(b) != m.trap {
-			m.trap = string(b)
-		}
-		r.TrapKind = m.trap
-	}
+	r.TrapKind = intern(&lastTrap, d.Bytes())
 	r.ExitCode = d.Varint()
 	n := d.Uvarint()
 	nnz := d.Uvarint()
@@ -411,12 +397,8 @@ func (m *slab) decode(r *Report, data []byte, want, frames, ahead int) error {
 	if want != 0 && n != uint64(want) {
 		return fmt.Errorf("%w: %d, want %d", ErrShape, n, want)
 	}
-	counters := m.vector(int(n), frames)
-	// The wire format is already sparse (index-delta, value pairs), so the
-	// in-memory sparse form comes for free during decoding: downstream
-	// folds and analyses iterate it instead of rescanning the dense vector.
 	nz := m.nonzeros(int(nnz), ahead)
-	strict := true
+	strict, sorted := true, true
 	idx, off := 0, d.Offset()
 	for i := range nz {
 		var delta, val uint64
@@ -431,18 +413,19 @@ func (m *slab) decode(r *Report, data []byte, want, frames, ahead int) error {
 				return ErrBadReport
 			}
 			off = d.Offset()
+			// A delta of 2^63 or more wraps the index backwards, which is
+			// accepted unflagged.
+			sorted = sorted && int(delta) >= 0
 		}
 		idx += int(delta)
-		if uint(idx) >= uint(len(counters)) {
+		if uint(idx) >= uint(n) {
 			return ErrBadReport
 		}
-		counters[idx] = val
 		nz[i] = CounterNZ{Index: int32(idx), Value: val}
 		// A duplicate index (delta 0 past the first pair) or an explicit
 		// zero never comes from Encode but was historically accepted;
-		// keep accepting it, but drop the cache rather than let it
-		// disagree with the dense vector.
-		if val == 0 || (i > 0 && delta == 0) {
+		// keep accepting it, flagged as lenient.
+		if val == 0 || (delta == 0 && i > 0) {
 			strict = false
 		}
 	}
@@ -451,12 +434,10 @@ func (m *slab) decode(r *Report, data []byte, want, frames, ahead int) error {
 	if d.Bad() || tn > maxTrace || tn > uint64(d.Remaining()) {
 		return ErrBadReport
 	}
-	r.Counters = counters
-	if strict {
-		r.nz = nz
-	} else {
-		r.lenient = true
+	if !strict || !sorted {
+		nz = canonicalize(nz)
 	}
+	r.n, r.nz, r.lenient = int(n), nz, !strict
 	if tn > 0 {
 		r.Trace = make([]int, tn)
 		for i := range r.Trace {
@@ -467,6 +448,22 @@ func (m *slab) decode(r *Report, data []byte, want, frames, ahead int) error {
 		}
 	}
 	return nil
+}
+
+// canonicalize rewrites in place the pairs of input Encode never writes
+// into the pairs it would have written for the vector the input
+// describes: ascending indices, the last value given for each index,
+// zeros dropped.
+func canonicalize(nz []CounterNZ) []CounterNZ {
+	slices.SortStableFunc(nz, func(a, b CounterNZ) int { return int(a.Index) - int(b.Index) })
+	w := 0
+	for i, e := range nz {
+		if e.Value != 0 && (i+1 == len(nz) || nz[i+1].Index != e.Index) {
+			nz[w] = e
+			w++
+		}
+	}
+	return nz[:w]
 }
 
 // ----------------------------------------------------------------------------
@@ -490,8 +487,8 @@ func (db *DB) Add(r *Report) error {
 	if db.Program != "" && r.Program != "" && r.Program != db.Program {
 		return fmt.Errorf("report: program %q does not match database %q", r.Program, db.Program)
 	}
-	if db.NumCounters != 0 && len(r.Counters) != db.NumCounters {
-		return fmt.Errorf("report: counter vector length %d, want %d", len(r.Counters), db.NumCounters)
+	if db.NumCounters != 0 && r.NumCounters() != db.NumCounters {
+		return fmt.Errorf("report: counter vector length %d, want %d", r.NumCounters(), db.NumCounters)
 	}
 	db.Reports = append(db.Reports, r)
 	return nil
@@ -562,14 +559,14 @@ func NewAggregate(program string, numCounters int) *Aggregate {
 // collector run with "accept any" shape) adopts the shape of the first
 // report folded into it.
 func (a *Aggregate) Fold(r *Report) error {
-	if a.NumCounters == 0 && a.Runs == 0 && len(r.Counters) > 0 {
-		a.NumCounters = len(r.Counters)
+	if a.NumCounters == 0 && a.Runs == 0 && r.NumCounters() > 0 {
+		a.NumCounters = r.NumCounters()
 		a.NonzeroInSuccess = make([]bool, a.NumCounters)
 		a.NonzeroInFailure = make([]bool, a.NumCounters)
 		a.Totals = make([]uint64, a.NumCounters)
 	}
-	if len(r.Counters) != a.NumCounters {
-		return fmt.Errorf("report: counter vector length %d, want %d", len(r.Counters), a.NumCounters)
+	if r.NumCounters() != a.NumCounters {
+		return fmt.Errorf("report: counter vector length %d, want %d", r.NumCounters(), a.NumCounters)
 	}
 	a.Runs++
 	if r.Crashed {

@@ -153,7 +153,7 @@ func LoadFile(path, program string, numCounters int) (*DB, error) {
 	db := NewDB(program, numCounters)
 	for _, r := range reports {
 		if db.NumCounters == 0 {
-			db.NumCounters = len(r.Counters)
+			db.NumCounters = r.NumCounters()
 		}
 		if db.Program == "" {
 			db.Program = r.Program
