@@ -17,31 +17,31 @@ func (vm *VM) callBuiltin(name string, args []Value, pos minic.Pos) (Value, erro
 		}
 		return Value{}, nil
 	case "printi":
-		fmt.Fprintf(vm.out, "%d\n", args[0].I)
+		fmt.Fprintf(vm.out, "%d\n", args[0].Int())
 		return Value{}, nil
 	case "alloc":
 		n := int(args[0].I)
-		if args[0].Kind != KInt || n < 0 {
+		if args[0].p != nil || n < 0 {
 			return Value{}, &Trap{Kind: TrapBadProgram, Pos: pos, Msg: "alloc with bad size"}
 		}
 		return vm.alloc(n), nil
 	case "free":
-		if args[0].Kind == KPtr {
-			args[0].Obj.Freed = true
+		if obj := args[0].Obj(); obj != nil {
+			obj.Freed = true
 		}
 		return Value{}, nil
 	case "streq":
-		return boolVal(args[0].Kind == KStr && args[1].Kind == KStr && args[0].S == args[1].S), nil
+		return boolVal(args[0].Kind() == KStr && args[1].Kind() == KStr && args[0].Str() == args[1].Str()), nil
 	case "strlen":
-		return IntVal(int64(len(args[0].S))), nil
+		return IntVal(int64(len(args[0].Str()))), nil
 	case "strget":
-		i := int(args[1].I)
-		if args[0].Kind != KStr || i < 0 || i >= len(args[0].S) {
+		s, i := args[0].Str(), int(args[1].Int())
+		if args[0].Kind() != KStr || i < 0 || i >= len(s) {
 			return Value{}, &Trap{Kind: TrapOutOfBounds, Pos: pos, Msg: "strget"}
 		}
-		return IntVal(int64(args[0].S[i])), nil
+		return IntVal(int64(s[i])), nil
 	case "rand":
-		n := args[0].I
+		n := args[0].Int()
 		if n <= 0 {
 			return IntVal(0), nil
 		}
@@ -58,12 +58,12 @@ func (vm *VM) callBuiltin(name string, args []Value, pos minic.Pos) (Value, erro
 		}
 		return Value{}, nil
 	case "min":
-		if args[0].I < args[1].I {
+		if args[0].Int() < args[1].Int() {
 			return args[0], nil
 		}
 		return args[1], nil
 	case "max":
-		if args[0].I > args[1].I {
+		if args[0].Int() > args[1].Int() {
 			return args[0], nil
 		}
 		return args[1], nil

@@ -583,7 +583,7 @@ func (vm *VM) evalC(fr *cframe, nodes []enode, i int32) (Value, error) {
 		} else if b, err = vm.evalC(fr, nodes, n.b); err != nil {
 			return Value{}, err
 		}
-		if a.Kind == KInt && b.Kind == KInt {
+		if a.p == nil && b.p == nil {
 			// Integer operators resolved in place; the semantics are those
 			// of binop on two KInt values (Cmp on int pairs is the plain
 			// three-way compare). Div and mod fall through for the
@@ -627,9 +627,9 @@ func (vm *VM) evalC(fr *cframe, nodes []enode, i int32) (Value, error) {
 		}
 		// Valid loads resolve in place; anything else (null, freed,
 		// out-of-bounds, non-int index) re-derives its trap in resolveCell.
-		if ptr.Kind == KPtr && idx.Kind == KInt && !ptr.Obj.Freed {
-			if off := ptr.Off + int(idx.I); off >= 0 && off < len(ptr.Obj.Data) {
-				return ptr.Obj.Data[off], nil
+		if ptr.isPtr() && idx.p == nil && !ptr.p.Freed {
+			if off := int(ptr.I) + int(idx.I); off >= 0 && off < len(ptr.p.Data) {
+				return ptr.p.Data[off], nil
 			}
 		}
 		cell, err := resolveCell(ptr, idx, n.pos)
@@ -641,8 +641,8 @@ func (vm *VM) evalC(fr *cframe, nodes []enode, i int32) (Value, error) {
 		v := vm.alloc(int(n.slot))
 		// Structs get exactly their field count: field access cannot
 		// overrun, matching C struct semantics.
-		v.Obj.Data = v.Obj.Data[:n.slot]
-		v.Obj.Size = int(n.slot)
+		v.p.Data = v.p.Data[:n.slot]
+		v.p.Size = int(n.slot)
 		return v, nil
 	}
 	return Value{}, &Trap{Kind: TrapBadProgram, Msg: n.sval}

@@ -102,7 +102,7 @@ func (vm *VM) exec(fn *compiledFunc, fr *cframe) (Value, error) {
 					vm.steps += 4
 					l, r := vm.leafP(fr, &nodes[in.slot]), vm.leafP(fr, &nodes[in.a])
 					var t, ok bool
-					if l.Kind == KInt && r.Kind == KInt {
+					if l.p == nil && r.p == nil {
 						t, ok = binIntCond(cfg.BinOp(in.bop), l.I, r.I)
 					}
 					if !ok {
@@ -417,7 +417,7 @@ func (vm *VM) guardedSiteC(fr *cframe, nodes []enode, in *cinstr) error {
 	return nil
 }
 
-// leafP is leafC by reference: the fast arms read a leaf's Kind and I in
+// leafP is leafC by reference: the fast arms read a leaf's kind and I in
 // place, or copy it once to where it goes.
 func (vm *VM) leafP(fr *cframe, n *enode) *Value {
 	if n.kind == eLocal {
@@ -468,7 +468,7 @@ func binIntCond(op cfg.BinOp, a, b int64) (t, ok bool) {
 // the all-int operators resolved in place (Div and Mod fall through for
 // the zero-divisor trap), everything else through the shared binop.
 func binLeaves(op cfg.BinOp, a, b *Value, pos minic.Pos) (Value, error) {
-	if a.Kind == KInt && b.Kind == KInt {
+	if a.p == nil && b.p == nil {
 		switch op {
 		case cfg.BinAdd:
 			return IntVal(a.I + b.I), nil
@@ -497,9 +497,9 @@ func binLeaves(op cfg.BinOp, a, b *Value, pos minic.Pos) (Value, error) {
 // in place like evalC's eLoad case; anything else re-derives its trap in
 // resolveCell.
 func cellAt(ptr, idx *Value, pos minic.Pos) (*Value, error) {
-	if ptr.Kind == KPtr && idx.Kind == KInt && !ptr.Obj.Freed {
-		if off := ptr.Off + int(idx.I); off >= 0 && off < len(ptr.Obj.Data) {
-			return &ptr.Obj.Data[off], nil
+	if ptr.isPtr() && idx.p == nil && !ptr.p.Freed {
+		if off := int(ptr.I) + int(idx.I); off >= 0 && off < len(ptr.p.Data) {
+			return &ptr.p.Data[off], nil
 		}
 	}
 	return resolveCell(*ptr, *idx, pos)

@@ -351,7 +351,10 @@ func poolKeeps() bool {
 // vector), ccrypt 35 objects / 1.9 KB (counters, and the world's
 // intrinsics: argument slices, file names, the pass phrase); the ceilings
 // leave about half again. Before recycling, the ccrypt run cost 89
-// objects / 37 KB.
+// objects / 37 KB. With the two-word Value each non-empty string value
+// the intrinsics return costs one object header more, and every cell and
+// argument slot a third of its old size: ccrypt 41 objects / 1.6 KB.
+// CI runs this test without -race (see poolKeeps).
 func TestCompiledRunAllocationCeiling(t *testing.T) {
 	if !poolKeeps() {
 		t.Skip("sync.Pool drops entries here (race detector?); Run cannot be held to a ceiling")

@@ -8,6 +8,7 @@ package interp
 
 import (
 	"fmt"
+	"strings"
 
 	"cbi/internal/minic"
 )
@@ -26,47 +27,124 @@ const (
 	KPtr
 )
 
-// Value is a runtime value.
+// Value is a runtime value: two words, an integer and a pointer whose
+// target carries the kind (DESIGN §15.1).
+//   - p == nil: an int, with I its value. The zero Value is IntVal(0).
+//   - p == nullObj: null.
+//   - p a string object (tag tagStr): a string, with p.s its contents.
+//     The empty string is the shared emptyStr.
+//   - any other p: a pointer to the heap object p, with I its element
+//     offset.
+//
+// I is 0 for null and for strings, so two Values with the same p are
+// equal exactly when their Is are. Read an integer operand through Int,
+// which is 0 for every kind but int; I alone is a pointer's offset.
 type Value struct {
-	Kind Kind
-	I    int64
-	S    string
-	Obj  *Object
-	Off  int
+	I int64
+	p *Object
 }
 
 // Object is a heap allocation. Size is the logical (requested) extent;
 // len(Data) is the physical capacity including allocator slack. Accesses
 // beyond Size but within capacity succeed silently — the "lucky" overruns
 // of §3.3.3 — while accesses beyond capacity trap.
+//
+// The zero Object is a live heap object: tag 0 is tagHeap. Null and
+// string values point at objects of the other tags, which the guest can
+// never index, free or reach through Obj.
 type Object struct {
 	ID    int64
 	Data  []Value
 	Size  int
 	Freed bool
+	tag   uint8  // tagHeap, tagStr or tagNull
+	s     string // a string object's contents
 }
 
-// IntVal makes an integer value.
-func IntVal(i int64) Value { return Value{Kind: KInt, I: i} }
+// Object tags; the non-heap ones equal the Kind they stand for.
+const (
+	tagHeap = uint8(0)
+	tagStr  = uint8(KStr)
+	tagNull = uint8(KNull)
+)
 
-// StrVal makes a string value.
-func StrVal(s string) Value { return Value{Kind: KStr, S: s} }
+var (
+	nullObj  = &Object{tag: tagNull}
+	emptyStr = &Object{tag: tagStr}
+)
+
+// IntVal makes an integer value.
+func IntVal(i int64) Value { return Value{I: i} }
+
+// StrVal makes a string value. A non-empty string costs one object.
+func StrVal(s string) Value {
+	if s == "" {
+		return Value{p: emptyStr}
+	}
+	return Value{p: &Object{tag: tagStr, s: s}}
+}
 
 // NullVal makes the null pointer.
-func NullVal() Value { return Value{Kind: KNull} }
+func NullVal() Value { return Value{p: nullObj} }
 
-// PtrVal makes a pointer to obj at offset off.
-func PtrVal(obj *Object, off int) Value { return Value{Kind: KPtr, Obj: obj, Off: off} }
+// PtrVal makes a pointer to the heap object obj (non-nil) at offset off.
+func PtrVal(obj *Object, off int) Value { return Value{I: int64(off), p: obj} }
+
+// Kind reports the value's kind.
+func (v Value) Kind() Kind {
+	switch {
+	case v.p == nil:
+		return KInt
+	case v.p.tag == tagHeap:
+		return KPtr
+	}
+	return Kind(v.p.tag)
+}
+
+// isPtr reports whether v points into a heap object.
+func (v Value) isPtr() bool { return v.p != nil && v.p.tag == tagHeap }
+
+// Int is v's integer value, and 0 for every other kind: the one way to
+// read an operand that should be an int but is not checked to be.
+func (v Value) Int() int64 {
+	if v.p != nil {
+		return 0
+	}
+	return v.I
+}
+
+// Str is a string value's contents, and "" for every other kind.
+func (v Value) Str() string {
+	if v.p != nil && v.p.tag == tagStr {
+		return v.p.s
+	}
+	return ""
+}
+
+// Obj is the heap object a pointer points into, and nil for every other
+// kind.
+func (v Value) Obj() *Object {
+	if v.isPtr() {
+		return v.p
+	}
+	return nil
+}
+
+// Off is a pointer's element offset, and 0 for every other kind.
+func (v Value) Off() int {
+	if v.isPtr() {
+		return int(v.I)
+	}
+	return 0
+}
 
 // Truthy reports C-style truthiness.
 func (v Value) Truthy() bool {
-	switch v.Kind {
+	switch v.Kind() {
 	case KInt:
 		return v.I != 0
 	case KStr:
-		return v.S != ""
-	case KNull:
-		return false
+		return v.p.s != ""
 	case KPtr:
 		return true
 	}
@@ -76,25 +154,15 @@ func (v Value) Truthy() bool {
 // Sign classifies a value for the returns scheme (§3.2.1): negative,
 // zero, or positive. Pointers are positive, null is zero.
 func (v Value) Sign() int {
-	switch v.Kind {
+	switch v.Kind() {
 	case KInt:
-		switch {
-		case v.I < 0:
-			return -1
-		case v.I == 0:
-			return 0
-		default:
-			return 1
-		}
-	case KNull:
-		return 0
+		return cmpInt(v.I, 0)
 	case KPtr:
 		return 1
 	case KStr:
-		if v.S == "" {
-			return 0
+		if v.p.s != "" {
+			return 1
 		}
-		return 1
 	}
 	return 0
 }
@@ -103,22 +171,18 @@ func (v Value) Sign() int {
 // object identity and offset, strings by contents, null equal to null
 // and to no non-null pointer.
 func (v Value) Equal(o Value) bool {
-	switch {
-	case v.Kind == KInt && o.Kind == KInt:
+	if v.p == o.p {
 		return v.I == o.I
-	case v.Kind == KStr && o.Kind == KStr:
-		return v.S == o.S
-	case v.Kind == KNull && o.Kind == KNull:
-		return true
-	case v.Kind == KPtr && o.Kind == KPtr:
-		return v.Obj == o.Obj && v.Off == o.Off
-	case v.Kind == KNull && o.Kind == KInt:
-		return o.I == 0
-	case v.Kind == KInt && o.Kind == KNull:
-		return v.I == 0
-	default:
-		return false
 	}
+	switch vk, ok := v.Kind(), o.Kind(); {
+	case vk == KStr && ok == KStr:
+		return v.p.s == o.p.s
+	case vk == KNull && ok == KInt:
+		return o.I == 0
+	case vk == KInt && ok == KNull:
+		return v.I == 0
+	}
+	return false
 }
 
 // Less imposes the deterministic total order used for scalar comparisons:
@@ -126,23 +190,23 @@ func (v Value) Equal(o Value) bool {
 // allocation sequence then offset; strings lexicographically. Mixed
 // int/pointer comparisons treat null/0 uniformly.
 func (v Value) Less(o Value) bool {
+	vk, ok := v.Kind(), o.Kind()
 	switch {
-	case v.Kind == KInt && o.Kind == KInt:
+	case vk == KInt && ok == KInt:
 		return v.I < o.I
-	case v.Kind == KStr && o.Kind == KStr:
-		return v.S < o.S
-	case v.Kind == KNull:
-		return o.Kind == KPtr || (o.Kind == KInt && o.I > 0)
-	case o.Kind == KNull:
-		return v.Kind == KInt && v.I < 0
-	case v.Kind == KPtr && o.Kind == KPtr:
-		if v.Obj != o.Obj {
-			return v.Obj.ID < o.Obj.ID
+	case vk == KStr && ok == KStr:
+		return v.p.s < o.p.s
+	case vk == KNull:
+		return ok == KPtr || (ok == KInt && o.I > 0)
+	case ok == KNull:
+		return vk == KInt && v.I < 0
+	case vk == KPtr && ok == KPtr:
+		if v.p != o.p {
+			return v.p.ID < o.p.ID
 		}
-		return v.Off < o.Off
-	default:
-		return false
+		return v.I < o.I
 	}
+	return false
 }
 
 // CmpUnordered is Cmp's result for value pairs the total order does not
@@ -156,35 +220,30 @@ const CmpUnordered = 2
 // and the scalar-pairs probe through, replacing the old Less-then-Equal
 // double walk.
 func (v Value) Cmp(o Value) int {
-	switch {
-	case v.Kind == KInt && o.Kind == KInt:
+	if v.p == nil && o.p == nil {
 		return cmpInt(v.I, o.I)
-	case v.Kind == KStr && o.Kind == KStr:
-		switch {
-		case v.S < o.S:
-			return -1
-		case v.S > o.S:
-			return 1
-		}
-		return 0
-	case v.Kind == KPtr && o.Kind == KPtr:
-		if v.Obj != o.Obj {
-			return cmpInt(v.Obj.ID, o.Obj.ID)
-		}
-		return cmpInt(int64(v.Off), int64(o.Off))
-	case v.Kind == KNull && o.Kind == KNull:
-		return 0
-	case v.Kind == KNull && o.Kind == KInt:
-		return cmpInt(0, o.I)
-	case v.Kind == KInt && o.Kind == KNull:
-		return cmpInt(v.I, 0)
-	case v.Kind == KNull && o.Kind == KPtr:
-		return -1
-	case v.Kind == KPtr && o.Kind == KNull:
-		return 1
-	default:
-		return CmpUnordered
 	}
+	vk, ok := v.Kind(), o.Kind()
+	switch {
+	case vk == KStr && ok == KStr:
+		return strings.Compare(v.p.s, o.p.s)
+	case vk == KPtr && ok == KPtr:
+		if v.p != o.p {
+			return cmpInt(v.p.ID, o.p.ID)
+		}
+		return cmpInt(v.I, o.I)
+	case vk == KNull && ok == KNull:
+		return 0
+	case vk == KNull && ok == KInt:
+		return cmpInt(0, o.I)
+	case vk == KInt && ok == KNull:
+		return cmpInt(v.I, 0)
+	case vk == KNull && ok == KPtr:
+		return -1
+	case vk == KPtr && ok == KNull:
+		return 1
+	}
+	return CmpUnordered
 }
 
 func cmpInt(a, b int64) int {
@@ -199,17 +258,15 @@ func cmpInt(a, b int64) int {
 
 // String renders the value for diagnostics and print output.
 func (v Value) String() string {
-	switch v.Kind {
+	switch v.Kind() {
 	case KInt:
 		return fmt.Sprintf("%d", v.I)
 	case KStr:
-		return v.S
+		return v.p.s
 	case KNull:
 		return "null"
-	case KPtr:
-		return fmt.Sprintf("ptr#%d+%d", v.Obj.ID, v.Off)
 	}
-	return "<bad value>"
+	return fmt.Sprintf("ptr#%d+%d", v.p.ID, v.I)
 }
 
 // ZeroFor returns the zero value of a declared type.

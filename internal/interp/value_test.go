@@ -1,14 +1,38 @@
 package interp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cbi/internal/instrument"
 	"cbi/internal/minic"
 	"cbi/internal/sampler"
 )
+
+// TestValueLayout pins the two-word Value (DESIGN §15.1): an integer and
+// a pointer that carries the kind, 16 bytes for every local, heap cell and
+// operand; and an object header, which each heap object and non-empty
+// string costs, of at most 64 bytes.
+func TestValueLayout(t *testing.T) {
+	if n := reflect.TypeOf(Value{}).NumField(); n != 2 {
+		t.Errorf("Value has %d fields, want 2", n)
+	}
+	if n := unsafe.Sizeof(Value{}); n != 16 {
+		t.Errorf("Value is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(Object{}); n > 64 {
+		t.Errorf("Object is %d bytes, want at most 64", n)
+	}
+	if (Value{}) != IntVal(0) {
+		t.Error("the zero Value is not IntVal(0)")
+	}
+	if v := PtrVal(&Object{}, 0); v.Kind() != KPtr {
+		t.Errorf("a pointer to the zero Object is a %v, want a heap pointer", v.Kind())
+	}
+}
 
 func TestValueTruthy(t *testing.T) {
 	obj := &Object{ID: 1, Data: make([]Value, 1), Size: 1}
@@ -108,22 +132,22 @@ func TestValueString(t *testing.T) {
 	}
 	for want, v := range cases {
 		if v.String() != want {
-			t.Errorf("%v.String() = %q, want %q", v.Kind, v.String(), want)
+			t.Errorf("%v.String() = %q, want %q", v.Kind(), v.String(), want)
 		}
 	}
 }
 
 func TestZeroFor(t *testing.T) {
-	if ZeroFor(minic.IntType).Kind != KInt {
+	if ZeroFor(minic.IntType).Kind() != KInt {
 		t.Error("int zero")
 	}
-	if ZeroFor(minic.PtrTo(minic.IntType)).Kind != KNull {
+	if ZeroFor(minic.PtrTo(minic.IntType)).Kind() != KNull {
 		t.Error("ptr zero")
 	}
-	if ZeroFor(minic.StrType).Kind != KStr {
+	if ZeroFor(minic.StrType).Kind() != KStr {
 		t.Error("str zero")
 	}
-	if ZeroFor(nil).Kind != KInt {
+	if ZeroFor(nil).Kind() != KInt {
 		t.Error("nil type zero")
 	}
 }
@@ -211,8 +235,8 @@ func TestVMAccessors(t *testing.T) {
 		t.Error("counters length")
 	}
 	v := vm.Alloc(5)
-	if v.Kind != KPtr || v.Obj.Size != 5 || len(v.Obj.Data) != 8 {
-		t.Errorf("Alloc: %+v", v.Obj)
+	if v.Kind() != KPtr || v.Obj().Size != 5 || len(v.Obj().Data) != 8 {
+		t.Errorf("Alloc: %+v", v.Obj())
 	}
 }
 

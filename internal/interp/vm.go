@@ -461,9 +461,7 @@ func (vm *VM) Run() Result {
 		return vm.finish(res)
 	}
 	res.Outcome = OutcomeOK
-	if v.Kind == KInt {
-		res.ExitCode = v.I
-	}
+	res.ExitCode = v.Int()
 	return vm.finish(res)
 }
 
@@ -737,7 +735,7 @@ func (vm *VM) probe(s *cfg.Site, args []Value) error {
 			bump(2)
 		}
 	case cfg.SiteNullCheck:
-		if args[0].Kind == KNull {
+		if args[0].p == nullObj {
 			bump(0)
 		} else {
 			bump(1)
@@ -751,13 +749,13 @@ func (vm *VM) probe(s *cfg.Site, args []Value) error {
 	case cfg.SiteBounds:
 		ptr, idx := args[0], args[1]
 		switch {
-		case ptr.Kind == KNull:
+		case ptr.p == nullObj:
 			bump(0)
 			if vm.abortOnBounds {
 				return &Trap{Kind: TrapNullDeref, Pos: s.Pos, Msg: "bounds check"}
 			}
-		case ptr.Kind == KPtr && idx.Kind == KInt &&
-			(ptr.Off+int(idx.I) < 0 || ptr.Off+int(idx.I) >= ptr.Obj.Size):
+		case ptr.isPtr() && idx.p == nil &&
+			(int(ptr.I)+int(idx.I) < 0 || int(ptr.I)+int(idx.I) >= ptr.p.Size):
 			bump(1)
 			if vm.abortOnBounds {
 				return &Trap{Kind: TrapOutOfBounds, Pos: s.Pos, Msg: "bounds check"}
@@ -815,24 +813,25 @@ func (vm *VM) cell(fr *frame, ptrE, idxE cfg.Expr, pos minic.Pos) (*Value, error
 // model and returns the cell address. Shared by the tree and compiled
 // engines.
 func resolveCell(ptr, idx Value, pos minic.Pos) (*Value, error) {
-	if ptr.Kind == KNull {
+	if ptr.p == nullObj {
 		return nil, &Trap{Kind: TrapNullDeref, Pos: pos}
 	}
-	if ptr.Kind != KPtr {
+	obj := ptr.Obj()
+	if obj == nil {
 		return nil, &Trap{Kind: TrapBadProgram, Pos: pos, Msg: "indexing non-pointer"}
 	}
-	if ptr.Obj.Freed {
+	if obj.Freed {
 		return nil, &Trap{Kind: TrapUseAfterFree, Pos: pos}
 	}
-	if idx.Kind != KInt {
+	if idx.p != nil {
 		return nil, &Trap{Kind: TrapBadProgram, Pos: pos, Msg: "non-integer index"}
 	}
-	off := ptr.Off + int(idx.I)
-	if off < 0 || off >= len(ptr.Obj.Data) {
+	off := int(ptr.I) + int(idx.I)
+	if off < 0 || off >= len(obj.Data) {
 		return nil, &Trap{Kind: TrapOutOfBounds, Pos: pos,
-			Msg: fmt.Sprintf("offset %d outside capacity %d", off, len(ptr.Obj.Data))}
+			Msg: fmt.Sprintf("offset %d outside capacity %d", off, len(obj.Data))}
 	}
-	return &ptr.Obj.Data[off], nil
+	return &obj.Data[off], nil
 }
 
 // alloc creates a heap object with allocator slack: capacity is the
@@ -845,9 +844,10 @@ func (vm *VM) alloc(n int) Value {
 		capacity *= 2
 	}
 	vm.nextObj++
-	// Cells start as IntVal(0), which is Value's zero value (KInt == 0),
-	// so freshly carved (or freshly made) slices need no initialization
-	// pass. Oversized requests bypass the arena.
+	// Cells start as IntVal(0), which is Value's zero value (a nil
+	// pointer), and headers as live heap objects, which is Object's zero
+	// value (tag 0), so freshly carved (or freshly made) chunks need no
+	// initialization pass. Oversized requests bypass the arena.
 	var data []Value
 	if capacity <= cellArenaMax {
 		if len(vm.cellArena) < capacity {
@@ -923,8 +923,8 @@ func (vm *VM) eval(fr *frame, e cfg.Expr) (Value, error) {
 		v := vm.alloc(x.NumFields)
 		// Structs get exactly their field count: field access cannot
 		// overrun, matching C struct semantics.
-		v.Obj.Data = v.Obj.Data[:x.NumFields]
-		v.Obj.Size = x.NumFields
+		v.p.Data = v.p.Data[:x.NumFields]
+		v.p.Size = x.NumFields
 		return v, nil
 	}
 	return Value{}, &Trap{Kind: TrapBadProgram, Msg: fmt.Sprintf("unknown expression %T", e)}
@@ -954,7 +954,7 @@ func (vm *VM) evalBin(fr *frame, x *cfg.Bin) (Value, error) {
 func unop(op cfg.UnOp, v Value) (Value, error) {
 	switch op {
 	case cfg.UnNeg:
-		return IntVal(-v.I), nil
+		return IntVal(-v.Int()), nil
 	case cfg.UnNot:
 		if v.Truthy() {
 			return IntVal(0), nil
@@ -985,15 +985,15 @@ func binop(op cfg.BinOp, a, b Value, pos minic.Pos) (Value, error) {
 		return boolVal(c == 1 || c == 0), nil
 	}
 	// Pointer arithmetic.
-	if a.Kind == KPtr && b.Kind == KInt {
+	if a.isPtr() && b.p == nil {
 		switch op {
 		case cfg.BinAdd:
-			return PtrVal(a.Obj, a.Off+int(b.I)), nil
+			return PtrVal(a.p, int(a.I)+int(b.I)), nil
 		case cfg.BinSub:
-			return PtrVal(a.Obj, a.Off-int(b.I)), nil
+			return PtrVal(a.p, int(a.I)-int(b.I)), nil
 		}
 	}
-	if a.Kind != KInt || b.Kind != KInt {
+	if a.p != nil || b.p != nil {
 		return Value{}, &Trap{Kind: TrapBadProgram, Pos: pos,
 			Msg: fmt.Sprintf("operator %s on %s and %s", op, a, b)}
 	}

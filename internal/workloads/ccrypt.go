@@ -248,7 +248,7 @@ func (w *CcryptWorld) Intrinsics() map[string]interp.Intrinsic {
 			return interp.IntVal(int64(w.files)), nil
 		},
 		"file_name": func(vm *interp.VM, args []interp.Value) (interp.Value, error) {
-			return interp.StrVal(fmt.Sprintf("file%d.cpt", args[0].I)), nil
+			return interp.StrVal(fmt.Sprintf("file%d.cpt", args[0].Int())), nil
 		},
 		"flag_force": func(vm *interp.VM, args []interp.Value) (interp.Value, error) {
 			if w.force {
@@ -257,7 +257,7 @@ func (w *CcryptWorld) Intrinsics() map[string]interp.Intrinsic {
 			return interp.IntVal(0), nil
 		},
 		"file_exists": func(vm *interp.VM, args []interp.Value) (interp.Value, error) {
-			name := args[0].S
+			name := args[0].Str()
 			ex, ok := w.exists[name]
 			if !ok {
 				ex = w.rng.Intn(100) < w.PExists
@@ -272,14 +272,14 @@ func (w *CcryptWorld) Intrinsics() map[string]interp.Intrinsic {
 			if w.rng.Intn(100) < w.PIOError {
 				return interp.IntVal(-1), nil
 			}
-			w.exists[args[0].S] = false
+			w.exists[args[0].Str()] = false
 			return interp.IntVal(0), nil
 		},
 		"write_file": func(vm *interp.VM, args []interp.Value) (interp.Value, error) {
 			if w.rng.Intn(100) < w.PIOError {
 				return interp.IntVal(-1), nil
 			}
-			w.exists[args[0].S] = true
+			w.exists[args[0].Str()] = true
 			return interp.IntVal(1), nil
 		},
 		"passphrase": func(vm *interp.VM, args []interp.Value) (interp.Value, error) {
@@ -323,9 +323,10 @@ func (w *CcryptWorld) Intrinsics() map[string]interp.Intrinsic {
 // allocString builds an int-array holding the bytes of s plus a NUL.
 func allocString(vm *interp.VM, s string) interp.Value {
 	v := vm.Alloc(len(s) + 1)
+	data := v.Obj().Data
 	for i := 0; i < len(s); i++ {
-		v.Obj.Data[i] = interp.IntVal(int64(s[i]))
+		data[i] = interp.IntVal(int64(s[i]))
 	}
-	v.Obj.Data[len(s)] = interp.IntVal(0)
+	data[len(s)] = interp.IntVal(0)
 	return v
 }

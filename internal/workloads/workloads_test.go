@@ -137,6 +137,45 @@ func TestCcryptBugIsDeterministicOnEOF(t *testing.T) {
 	}
 }
 
+// TestCcryptIntrinsicsReadOperandKinds pins what the string- and
+// int-taking intrinsics make of operands of the other kinds: a file
+// number that is not an int reads as 0, and a file name that is not a
+// string reads as "".
+func TestCcryptIntrinsicsReadOperandKinds(t *testing.T) {
+	f, err := minic.Parse("ccrypt.mc", CcryptSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := instrument.BuildBaseline(f, CcryptBuiltins())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := interp.New(prog, interp.Config{})
+	ptr := interp.PtrVal(vm.Alloc(8).Obj(), 3)
+	world := NewCcryptWorld(1)
+	world.PIOError = 0
+	intr := world.Intrinsics()
+	var got []string
+	for _, arg := range []interp.Value{interp.IntVal(4), interp.NullVal(), interp.StrVal(""), interp.StrVal("ab"), ptr} {
+		name, err := intr["file_name"](vm, []interp.Value{arg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := intr["write_file"](vm, []interp.Value{arg}); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, name.String())
+	}
+	if want := "file4.cpt file0.cpt file0.cpt file0.cpt file0.cpt"; strings.Join(got, " ") != want {
+		t.Errorf("file_name: %q, want %q", strings.Join(got, " "), want)
+	}
+	for name, want := range map[string]bool{"": true, "ab": true, "file4.cpt": false} {
+		if world.exists[name] != want {
+			t.Errorf("exists[%q] = %v, want %v", name, world.exists[name], want)
+		}
+	}
+}
+
 func TestCcryptFleetProducesMixedOutcomes(t *testing.T) {
 	b := buildCcrypt(t, instrument.SchemeSet{Returns: true}, false)
 	db, err := CcryptFleet(b.Program, FleetConfig{Runs: 300, SeedBase: 1})
