@@ -373,9 +373,9 @@ func BenchmarkReportCodec(b *testing.B) {
 var codecSink []byte
 
 // BenchmarkCcryptRunStartup is one deployed ccrypt run as the fleet makes
-// it (sampled 1/100, one Compiled, one world reset per run): about 1 k VM
-// steps and 10 countdown draws, so what it times is mostly start-up, and
-// its allocs/op is what a run costs beyond its Result.
+// it (sampled 1/100, one Compiled, one world reset per run): about 10 k VM
+// steps and 10 countdown draws: what it times beyond those steps is
+// start-up, and its allocs/op is what a run costs beyond its Result.
 func BenchmarkCcryptRunStartup(b *testing.B) {
 	built, err := workloads.BuildCcrypt(instrument.SchemeSet{Returns: true}, true)
 	if err != nil {

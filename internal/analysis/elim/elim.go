@@ -6,12 +6,12 @@
 package elim
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"cbi/internal/report"
+	"cbi/internal/rng"
 	"cbi/internal/stats"
 	"cbi/internal/telemetry"
 )
@@ -184,9 +184,10 @@ func ProgressiveWorkers(successes []*report.Report, initial []bool, sizes []int,
 	var next atomic.Int64
 	worker := func() {
 		defer wg.Done()
-		// Per-worker scratch, reused across trials: an identity permutation
-		// buffer restored by reverting its swaps, and a generation-marked
-		// "seen" set that clears in O(1).
+		// Per-worker scratch, reused across trials: a generator re-seeded
+		// per trial, an identity permutation buffer restored by reverting
+		// its swaps, and a generation-marked "seen" set that clears in O(1).
+		r := rng.New(0)
 		perm := make([]int, n)
 		for i := range perm {
 			perm[i] = i
@@ -201,12 +202,12 @@ func ProgressiveWorkers(successes []*report.Report, initial []bool, sizes []int,
 			}
 			k, trial := task/trials, task%trials
 			size := effSizes[k]
-			rng := rand.New(rand.NewSource(trialSeed(seed, size, trial)))
+			r.Seed(trialSeed(seed, size, trial))
 			// Partial Fisher–Yates: only the first `size` draws of a full
 			// shuffle are needed to pick a uniform subset.
 			swaps = swaps[:0]
 			for i := 0; i < size; i++ {
-				j := i + rng.Intn(n-i)
+				j := i + r.Intn(n-i)
 				perm[i], perm[j] = perm[j], perm[i]
 				swaps = append(swaps, j)
 			}

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"cbi/internal/report"
+	"cbi/internal/rng"
 	"cbi/internal/telemetry"
 )
 
@@ -109,8 +110,7 @@ func Split(reports []*report.Report, trainFrac, cvFrac float64, seed int64) (tra
 	if nTrain+nCV > n {
 		nCV = n - nTrain
 	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
+	perm := rng.New(seed).Perm(n)
 	for i, pi := range perm {
 		switch {
 		case i < nTrain:
@@ -186,11 +186,11 @@ func Train(ds *Dataset, conf TrainConfig) *Model {
 		conf.Epochs = 60
 	}
 	m := &Model{Beta: make([]float64, len(ds.FeatureIdx)), FeatureIdx: ds.FeatureIdx, Lambda: conf.Lambda}
-	rng := rand.New(rand.NewSource(conf.Seed))
+	r := rng.New(conf.Seed)
 	step := conf.StepSize
 	perm := make([]int, len(ds.X))
 	for epoch := 0; epoch < conf.Epochs; epoch++ {
-		permute(rng, perm)
+		permute(r, perm)
 		for _, i := range perm {
 			x := ds.X[i]
 			mu := m.prob(x)

@@ -9,9 +9,9 @@ package logreg
 
 import (
 	"math"
-	"math/rand"
 
 	"cbi/internal/report"
+	"cbi/internal/rng"
 	"cbi/internal/telemetry"
 )
 
@@ -244,7 +244,7 @@ func TrainSparse(ds *SparseDataset, conf TrainConfig) *Model {
 	}
 	features := len(ds.FeatureIdx)
 	m := &Model{Beta: make([]float64, features), FeatureIdx: ds.FeatureIdx, Lambda: conf.Lambda}
-	rng := rand.New(rand.NewSource(conf.Seed))
+	r := rng.New(conf.Seed)
 	step := conf.StepSize
 	shrink := step * conf.Lambda
 	rows := ds.Rows()
@@ -254,7 +254,7 @@ func TrainSparse(ds *SparseDataset, conf TrainConfig) *Model {
 	applied := make([]int, features)
 	t := 0
 	for epoch := 0; epoch < conf.Epochs; epoch++ {
-		permute(rng, perm)
+		permute(r, perm)
 		for _, i := range perm {
 			lo, hi := ds.RowStart[i], ds.RowStart[i+1]
 			// Pay the shrinkage arrears for this sample's features first,

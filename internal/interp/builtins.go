@@ -1,8 +1,8 @@
 package interp
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 
 	"cbi/internal/minic"
 )
@@ -13,11 +13,11 @@ func (vm *VM) callBuiltin(name string, args []Value, pos minic.Pos) (Value, erro
 	switch name {
 	case "print":
 		for _, a := range args {
-			fmt.Fprint(vm.out, a.String())
+			io.WriteString(vm.out, a.String())
 		}
 		return Value{}, nil
 	case "printi":
-		fmt.Fprintf(vm.out, "%d\n", args[0].Int())
+		vm.out.Write(append(strconv.AppendInt(vm.digits[:0], args[0].Int(), 10), '\n'))
 		return Value{}, nil
 	case "alloc":
 		n := int(args[0].I)

@@ -8,6 +8,7 @@ package interp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cbi/internal/minic"
@@ -260,7 +261,7 @@ func cmpInt(a, b int64) int {
 func (v Value) String() string {
 	switch v.Kind() {
 	case KInt:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.FormatInt(v.I, 10)
 	case KStr:
 		return v.p.s
 	case KNull:

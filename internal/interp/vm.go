@@ -9,6 +9,7 @@ import (
 
 	"cbi/internal/cfg"
 	"cbi/internal/minic"
+	"cbi/internal/rng"
 	"cbi/internal/sampler"
 )
 
@@ -168,6 +169,7 @@ type VM struct {
 	cd            int64 // global countdown
 	out           io.Writer
 	buf           strings.Builder // captures output when Config.Stdout is nil
+	digits        [24]byte        // printi's scratch: an int64 and '\n' fit
 	capture       bool
 	fuel          uint64
 	steps         uint64
@@ -413,12 +415,12 @@ func (vm *VM) Counters() []uint64 { return vm.counters }
 
 // Rand exposes the program-visible RNG to intrinsics (and backs the rand
 // builtin). It is seeded from Config.Seed on first use, so a run that
-// never draws from it never pays for the 607-word generator state. The
-// generator belongs to the VM and must not be retained past the run.
+// never draws from it never allocates the generator. The generator
+// belongs to the VM and must not be retained past the run.
 func (vm *VM) Rand() *rand.Rand {
 	if !vm.rngReady {
 		if vm.rng == nil {
-			vm.rng = rand.New(rand.NewSource(vm.seed))
+			vm.rng = rng.New(vm.seed)
 		} else {
 			vm.rng.Seed(vm.seed)
 		}

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+
+	"cbi/internal/rng"
 )
 
 // Config bounds the generated program.
@@ -36,7 +38,7 @@ func Generate(seed int64, conf Config) string {
 	if conf.Funcs == 0 {
 		conf = DefaultConfig()
 	}
-	g := &gen{rng: rand.New(rand.NewSource(seed)), conf: conf, protected: map[string]bool{}}
+	g := &gen{rng: rng.New(seed), conf: conf, protected: map[string]bool{}}
 	return g.program()
 }
 

@@ -9,6 +9,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+
+	"cbi/internal/rng"
 )
 
 // NeverSample is the countdown value used when the sampling density is
@@ -47,7 +49,7 @@ func NewGeometric(seed int64, density float64) *Geometric {
 // zero Geometric may be Reset.
 func (g *Geometric) Reset(seed int64, density float64) {
 	if g.rng == nil {
-		g.rng = rand.New(rand.NewSource(seed))
+		g.rng = rng.New(seed)
 	} else {
 		g.rng.Seed(seed)
 	}
@@ -166,7 +168,7 @@ type Bernoulli struct {
 
 // NewBernoulli returns a Bernoulli sampler with the given density.
 func NewBernoulli(seed int64, density float64) *Bernoulli {
-	return &Bernoulli{rng: rand.New(rand.NewSource(seed)), density: density}
+	return &Bernoulli{rng: rng.New(seed), density: density}
 }
 
 // Sample tosses the coin once.

@@ -361,6 +361,21 @@ func TestResetReproducesFreshStream(t *testing.T) {
 	}
 }
 
+// TestGeometricResetAllocatesNothing: a sampled run re-seeds the VM's
+// Geometric in place, so a reset costs neither a generator nor its state.
+func TestGeometricResetAllocatesNothing(t *testing.T) {
+	g := NewGeometric(1, 0.01)
+	seed := int64(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		g.Reset(seed, 0.01)
+		g.Next()
+	})
+	if allocs != 0 {
+		t.Errorf("Reset + Next costs %v allocations", allocs)
+	}
+}
+
 func TestNeverSamplesAndAllocatesNothing(t *testing.T) {
 	var sink Source
 	allocs := testing.AllocsPerRun(100, func() {

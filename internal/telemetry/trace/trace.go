@@ -27,6 +27,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"cbi/internal/rng"
 )
 
 // Header is the HTTP header carrying trace context across the wire. Its
@@ -40,13 +42,13 @@ const Header = "X-CBI-Trace"
 var idRand = struct {
 	sync.Mutex
 	*rand.Rand
-}{Rand: rand.New(rand.NewSource(func() int64 {
+}{Rand: rng.New(func() int64 {
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err != nil {
 		return time.Now().UnixNano()
 	}
 	return int64(binary.LittleEndian.Uint64(b[:]))
-}()))}
+}())}
 
 func randHex(nbytes int) string {
 	b := make([]byte, nbytes)

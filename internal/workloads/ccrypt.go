@@ -1,11 +1,12 @@
 package workloads
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"cbi/internal/interp"
 	"cbi/internal/minic"
+	"cbi/internal/rng"
 )
 
 // CcryptSource is the §3.2 case study: a file-encryption tool that asks
@@ -232,7 +233,7 @@ func NewCcryptWorld(seed int64) *CcryptWorld {
 // (whose closures see the reset state) instead of building both per run.
 func (w *CcryptWorld) Reset(seed int64) {
 	if w.rng == nil {
-		w.rng = rand.New(rand.NewSource(seed))
+		w.rng = rng.New(seed)
 	} else {
 		w.rng.Seed(seed)
 	}
@@ -248,7 +249,7 @@ func (w *CcryptWorld) Intrinsics() map[string]interp.Intrinsic {
 			return interp.IntVal(int64(w.files)), nil
 		},
 		"file_name": func(vm *interp.VM, args []interp.Value) (interp.Value, error) {
-			return interp.StrVal(fmt.Sprintf("file%d.cpt", args[0].Int())), nil
+			return interp.StrVal("file" + strconv.FormatInt(args[0].Int(), 10) + ".cpt"), nil
 		},
 		"flag_force": func(vm *interp.VM, args []interp.Value) (interp.Value, error) {
 			if w.force {

@@ -176,6 +176,20 @@ func TestCcryptIntrinsicsReadOperandKinds(t *testing.T) {
 	}
 }
 
+// TestCcryptWorldResetAllocatesNothing: the fleet resets one world per
+// run, and the reset re-seeds the world's generator in place.
+func TestCcryptWorldResetAllocatesNothing(t *testing.T) {
+	w := NewCcryptWorld(1)
+	seed := int64(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		w.Reset(seed)
+	})
+	if allocs != 0 {
+		t.Errorf("Reset costs %v allocations", allocs)
+	}
+}
+
 func TestCcryptFleetProducesMixedOutcomes(t *testing.T) {
 	b := buildCcrypt(t, instrument.SchemeSet{Returns: true}, false)
 	db, err := CcryptFleet(b.Program, FleetConfig{Runs: 300, SeedBase: 1})
