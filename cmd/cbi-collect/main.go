@@ -12,8 +12,8 @@
 // /healthz, and prints a final metrics snapshot on stdout at shutdown.
 //
 // Every server also runs the ingest-quality engine (package quality),
-// evaluated once a second: streaming sketches over report sizes and
-// sparsity, heavy-hitter source fingerprints, an online check of
+// evaluated once a second: exact report-size and sparsity totals (with
+// p50/p99 read from the collector's own histograms), an online check of
 // observed counter totals against the advertised -quality-density, and
 // anomaly detection (rate spikes, rejection surges, ingest stalls,
 // density drift). The population health surface is served at /quality

@@ -24,7 +24,7 @@ func main() {
 	var (
 		file     = flag.String("file", "", "MiniC source file")
 		workload = flag.String("workload", "", "built-in workload name (treeadd, bc, ccrypt, ...)")
-		scheme   = flag.String("scheme", "bounds", "comma-free scheme: returns, scalar-pairs, branches, bounds, asserts, all")
+		scheme   = flag.String("scheme", "bounds", "schemes: returns, scalar-pairs, branches, bounds, asserts, or all (comma separated)")
 		sample   = flag.Bool("sample", false, "apply the sampling transformation")
 		dump     = flag.Bool("dump", false, "dump the CFG")
 		sites    = flag.Bool("sites", false, "list instrumentation sites")
@@ -35,7 +35,7 @@ func main() {
 	)
 	flag.Parse()
 
-	set, err := ParseSchemeSet(*scheme)
+	set, err := instrument.ParseSchemes(*scheme)
 	if err != nil {
 		fatal(err)
 	}
@@ -95,36 +95,6 @@ func main() {
 	if *dump {
 		fmt.Print(cfg.DumpProgram(prog))
 	}
-}
-
-// ParseSchemeSet parses a scheme name list like "bounds" or
-// "returns,scalar-pairs".
-func ParseSchemeSet(s string) (instrument.SchemeSet, error) {
-	var set instrument.SchemeSet
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			switch name := s[start:i]; name {
-			case "returns":
-				set.Returns = true
-			case "scalar-pairs":
-				set.ScalarPairs = true
-			case "branches":
-				set.Branches = true
-			case "bounds":
-				set.Bounds = true
-			case "asserts":
-				set.Asserts = true
-			case "all":
-				set = instrument.SchemeSet{Returns: true, ScalarPairs: true, Branches: true, Bounds: true, Asserts: true}
-			case "", "none":
-			default:
-				return set, fmt.Errorf("unknown scheme %q", name)
-			}
-			start = i + 1
-		}
-	}
-	return set, nil
 }
 
 func fatal(err error) {

@@ -38,7 +38,7 @@ func main() {
 	var (
 		file     = flag.String("file", "", "MiniC source file")
 		workload = flag.String("workload", "", "built-in workload name")
-		scheme   = flag.String("scheme", "", "schemes: returns, scalar-pairs, branches, bounds, asserts (comma separated)")
+		scheme   = flag.String("scheme", "", "schemes: returns, scalar-pairs, branches, bounds, asserts, or all (comma separated)")
 		sample   = flag.Bool("sample", false, "apply the sampling transformation")
 		engine   = flag.String("engine", "fused", "execution engine: fused (bytecode VM with the superinstruction fast path), compiled (bytecode VM, exact loop only), or tree (reference walker)")
 		density  = flag.Float64("density", 1.0/1000, "sampling density for -sample")
@@ -62,7 +62,7 @@ func main() {
 		rootSpan = tracer.StartSpan("run")
 	}
 
-	set, err := parseSchemes(*scheme)
+	set, err := instrument.ParseSchemes(*scheme)
 	if err != nil {
 		fatal(err)
 	}
@@ -228,32 +228,6 @@ func outcomeName(res interp.Result) string {
 		return "CRASH"
 	}
 	return "ok"
-}
-
-func parseSchemes(s string) (instrument.SchemeSet, error) {
-	var set instrument.SchemeSet
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			switch name := s[start:i]; name {
-			case "returns":
-				set.Returns = true
-			case "scalar-pairs":
-				set.ScalarPairs = true
-			case "branches":
-				set.Branches = true
-			case "bounds":
-				set.Bounds = true
-			case "asserts":
-				set.Asserts = true
-			case "", "none":
-			default:
-				return set, fmt.Errorf("unknown scheme %q", name)
-			}
-			start = i + 1
-		}
-	}
-	return set, nil
 }
 
 func fatal(err error) {

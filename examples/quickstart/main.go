@@ -116,10 +116,11 @@ func main() {
 		PredicateName: prog.PredicateName,
 	})
 	// Attach the ingest-quality engine: every accept/reject below folds
-	// into its streaming sketches, and /quality + /debug/badreports serve
-	// the population-health view. Interval 0 disables the background
-	// ticker — this script drives anomaly evaluation explicitly with
-	// Tick() so the walkthrough is deterministic.
+	// into its counters and density check, and /quality +
+	// /debug/badreports serve the population-health view. Interval 0
+	// disables the background ticker — this script drives anomaly
+	// evaluation explicitly with Tick() so the walkthrough is
+	// deterministic.
 	srv.Quality = quality.New(quality.Config{
 		Density: 1.0 / 10, // the community's advertised sampling density
 	})

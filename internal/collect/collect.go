@@ -122,11 +122,6 @@ type serverMetrics struct {
 // BatchSizeBuckets are histogram buckets for reports-per-batch.
 var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// NonzeroBuckets are histogram buckets for nonzero counters per report —
-// the quantity the sparse decode→fold→analysis path scales with (dense
-// vectors cost O(counters) regardless of what the run touched).
-var NonzeroBuckets = []float64{0, 8, 32, 128, 512, 2048, 8192, 32768, 131072}
-
 func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 	return serverMetrics{
 		accepted:        reg.Counter("collect_reports_accepted_total"),
@@ -144,7 +139,7 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		reportBytes:     reg.Histogram("collect_report_bytes", telemetry.SizeBuckets),
 		decodeSeconds:   reg.Histogram("collect_decode_seconds", telemetry.DefBuckets),
 		foldSeconds:     reg.Histogram("collect_fold_seconds", telemetry.DefBuckets),
-		reportNonzeros:  reg.Histogram("collect_report_nonzeros", NonzeroBuckets),
+		reportNonzeros:  reg.Histogram("collect_report_nonzeros", telemetry.NonzeroBuckets),
 		shed:            reg.Counter("collect_reports_shed_total"),
 		stageWaits:      reg.Counter("collect_stage_waits_total"),
 		stageBatches:    reg.Histogram("collect_stage_fold_batch", BatchSizeBuckets),
@@ -210,10 +205,10 @@ type Server struct {
 
 	// Quality, when set before the first submission (or Handler call),
 	// enables the ingest-quality engine: every accept/reject folds into
-	// its streaming sketches, /quality and /debug/badreports are mounted,
-	// and (with a Monitor) anomaly/recovered events ride the /watch SSE
-	// stream. All engine calls are nil-safe, so the hot path pays one nil
-	// check when disabled.
+	// its counters and density check, /quality and /debug/badreports are
+	// mounted, and (with a Monitor) anomaly/recovered events ride the
+	// /watch SSE stream. All engine calls are nil-safe, so the hot path
+	// pays one nil check when disabled.
 	Quality *quality.Engine
 
 	// StageCapacity is the per-shard staging-ring size in reports,
@@ -750,7 +745,7 @@ func (s *Server) spillFail(w http.ResponseWriter, ingest *trace.Span, err error)
 // observations for one report, for takeIn and Submit alike. In takeIn it
 // runs after the journal append succeeds and before the 202, so
 // client-visible accounting (accepted counts, quarantine forensics,
-// quality sketches) never lags the acknowledgment and never counts a
+// quality counters) never lags the acknowledgment and never counts a
 // request that was refused; only fold latency and the monitor's fold
 // notifications happen later, in the folder.
 func (s *Server) accountAccepted(rep *report.Report) {

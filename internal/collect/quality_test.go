@@ -165,7 +165,12 @@ func TestQualityConcurrentBatchedSubmitters(t *testing.T) {
 		t.Errorf("quarantined = %d, want 0", snap.Quarantined)
 	}
 	if snap.ReportBytes.Count != uint64(submitters*perSubmitter) {
-		t.Errorf("bytes sketch count = %d", snap.ReportBytes.Count)
+		t.Errorf("report bytes count = %d", snap.ReportBytes.Count)
+	}
+	// p50/p99 are read from the collector's own histogram.
+	if h := srv.m.reportBytes; snap.ReportBytes.P50 != h.Quantile(0.5) || snap.ReportBytes.P99 != h.Quantile(0.99) || snap.ReportBytes.P50 == 0 {
+		t.Errorf("report bytes p50/p99 = %v/%v, histogram says %v/%v",
+			snap.ReportBytes.P50, snap.ReportBytes.P99, h.Quantile(0.5), h.Quantile(0.99))
 	}
 	if agg := srv.Aggregate(); agg.Runs != submitters*perSubmitter {
 		t.Errorf("aggregate runs = %d", agg.Runs)

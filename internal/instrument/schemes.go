@@ -17,6 +17,7 @@ package instrument
 
 import (
 	"fmt"
+	"strings"
 
 	"cbi/internal/cfg"
 	"cbi/internal/minic"
@@ -29,6 +30,33 @@ type SchemeSet struct {
 	Branches    bool
 	Bounds      bool
 	Asserts     bool
+}
+
+// ParseSchemes parses a comma-separated scheme list such as "bounds" or
+// "returns,scalar-pairs": "all" enables every scheme, "" and "none" add
+// none. The cbi-instrument and cbi-run -scheme flags both use it.
+func ParseSchemes(s string) (SchemeSet, error) {
+	var set SchemeSet
+	for _, name := range strings.Split(s, ",") {
+		switch name {
+		case "returns":
+			set.Returns = true
+		case "scalar-pairs":
+			set.ScalarPairs = true
+		case "branches":
+			set.Branches = true
+		case "bounds":
+			set.Bounds = true
+		case "asserts":
+			set.Asserts = true
+		case "all":
+			set = SchemeSet{Returns: true, ScalarPairs: true, Branches: true, Bounds: true, Asserts: true}
+		case "", "none":
+		default:
+			return set, fmt.Errorf("unknown scheme %q", name)
+		}
+	}
+	return set, nil
 }
 
 // Schemes is a cfg.Instrumenter that applies a SchemeSet, optionally

@@ -63,7 +63,6 @@ const dashboardHTML = `<!DOCTYPE html>
   #log .ev-recovered { color:var(--ok); }
   #anoms .anom { color:var(--bad); font-size:12px; padding:1px 0; }
   #health.ok { color:var(--ok); } #health.bad { color:var(--bad); }
-  #qtop td { font-size:12px; }
   footer { padding:8px 20px; color:var(--dim); font-size:12px; }
 </style>
 </head>
@@ -111,7 +110,6 @@ const dashboardHTML = `<!DOCTYPE html>
       <dt>sampling</dt><dd id="qsampling">–</dd>
     </dl>
     <div id="anoms"></div>
-    <table id="qtop"><tbody></tbody></table>
   </section>
   <section style="grid-column:1 / -1">
     <h2>Events</h2>
@@ -246,15 +244,6 @@ function renderQuality(q) {
     div.className = 'anom';
     div.textContent = '⚠ ' + a.kind + ' on ' + a.target;
     anoms.appendChild(div);
-  }
-  const tb = $('qtop').tBodies[0];
-  tb.innerHTML = '';
-  for (const s of (q.top_sources || []).slice(0, 5)) {
-    const tr = document.createElement('tr');
-    tr.innerHTML = '<td class="name"></td><td class="num"></td>';
-    tr.firstChild.textContent = s.key;
-    tr.lastChild.textContent = '≤' + s.count;
-    tb.appendChild(tr);
   }
 }
 async function pollQuality() {

@@ -7,10 +7,10 @@ package quality
 // upstream inside each "CBA1" merge envelope, and the root absorbs it,
 // so population health at the root covers the whole tree.
 //
-// Only the exact counters travel. The P² quantile, Space-Saving
-// heavy-hitter, and density sketches are approximate stream summaries
-// with no exact merge; they stay per-collector, and the root's own
-// sketches describe only its local traffic (DESIGN §14).
+// Only the exact counters travel. The density check's histogram and
+// the collector's report-shape histograms stay per-collector, so the
+// root's sampling verdict and p50/p99 columns describe only its local
+// traffic (DESIGN §14).
 
 import (
 	"errors"
@@ -132,39 +132,23 @@ func (e *Engine) TotalsDigest() Digest {
 // (what the EWMA rate trackers and anomaly rules see), so a rejection
 // surge on an edge trips the root's reject-surge rule just as local
 // traffic would. Safe on a nil engine.
-func (e *Engine) Absorb(d Digest) {
-	if e == nil || d.IsZero() {
-		return
-	}
-	add := func(i int, v uint64) {
-		if v != 0 {
-			e.windows[i].Add(v)
-			e.totals[i].Add(v)
-		}
-	}
-	add(trkReportPosts, d.ReportPosts)
-	add(trkReportsPosts, d.ReportsPosts)
-	add(trkAccept, d.Accepted)
-	for r := 0; r < NumReasons; r++ {
-		add(trkReject0+r, d.Rejected[r])
-	}
-	e.bytesCount.Add(d.BytesCount)
-	e.bytesSum.Add(d.BytesSum)
-	e.nzSum.Add(d.NzSum)
-}
+func (e *Engine) Absorb(d Digest) { e.absorb(d, true) }
 
 // AbsorbTotals restores cumulative counters without touching the tick
 // windows — the restart path: an edge replaying its spilled state must
 // not present hours of history to the rate trackers as one instant of
 // traffic. Safe on a nil engine.
-func (e *Engine) AbsorbTotals(d Digest) {
+func (e *Engine) AbsorbTotals(d Digest) { e.absorb(d, false) }
+
+func (e *Engine) absorb(d Digest, windows bool) {
 	if e == nil || d.IsZero() {
 		return
 	}
 	add := func(i int, v uint64) {
-		if v != 0 {
-			e.totals[i].Add(v)
+		if windows {
+			e.windows[i].Add(v)
 		}
+		e.totals[i].Add(v)
 	}
 	add(trkReportPosts, d.ReportPosts)
 	add(trkReportsPosts, d.ReportsPosts)

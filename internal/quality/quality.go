@@ -1,32 +1,29 @@
 // Package quality is the collector's streaming ingest-quality engine:
-// eyes on the population of reporting clients, at O(1) amortized cost
-// per report.
+// eyes on the population of reporting clients, at O(1) cost per report.
 //
 // The paper's setting is a ~60M-user deployment (§2.5) where reports
 // arrive from an untrusted, churning population: malformed payloads,
 // skewed run rates, and misbehaving clients are the norm. The engine
-// folds every ingest event into fixed-size streaming state:
+// folds every ingest event into fixed-size state:
 //
 //   - EWMA rate trackers per endpoint and per rejection reason, with
 //     windowed anomaly rules (rate spikes, rejection-ratio surges,
 //     ingest stalls) evaluated on a tick cadence;
-//   - P² quantile sketches over report body bytes and counter nonzeros
-//     (p2.go) — the body-size and sparsity distribution of the
-//     population without storing observations;
-//   - a Space-Saving heavy-hitters sketch over run-ID / shape /
-//     rejection fingerprints (spacesaving.go) — duplicate-spamming or
-//     dominating sources surface in the top-K;
-//   - an online statistical-distance check of per-run sampled-event
-//     totals against the advertised 1/d geometric-sampling profile
-//     (density.go), flagging density drift per the binomial-samplers
-//     framework;
+//   - exact counts and sums of report body bytes and counter nonzeros;
+//     the snapshot's p50/p99 columns read the collector's own
+//     collect_report_bytes / collect_report_nonzeros histograms, so no
+//     report is observed twice;
+//   - an online statistical-distance check of every completed run's
+//     sampled-event total against the advertised 1/d geometric-sampling
+//     profile (density.go), flagging density drift per the
+//     binomial-samplers framework;
 //   - a bounded forensic ring buffer of truncated hex-dumped rejected
 //     payloads (ring.go).
 //
 // The surface: GET /quality (JSON snapshot), GET /debug/badreports
 // (forensics), `anomaly` / `recovered` events on the collector's /watch
 // SSE stream, and a "Population health" panel on /dashboard. DESIGN §12
-// states the sketch error bounds and the drift argument.
+// states the quantile bound and the drift argument.
 package quality
 
 import (
@@ -92,7 +89,7 @@ type Config struct {
 	Density float64
 }
 
-// The engine's fixed tuning. The four that in-package tests substitute
+// The engine's fixed tuning. The three that in-package tests substitute
 // live on the Engine, set by New from these.
 const (
 	// defaultHalfLife is the EWMA half-life of the rate baselines: how
@@ -116,11 +113,6 @@ const (
 	// recoverTicks consecutive clear ticks retire an active anomaly with
 	// a `recovered` event.
 	recoverTicks = 2
-	// sketchCap is the Space-Saving capacity m: error bound N/m, and any
-	// source above N/m occurrences is guaranteed tracked.
-	sketchCap = 64
-	// topSources bounds the top-sources list in the /quality snapshot.
-	topSources = 10
 	// ringSize / sampleBytes size the forensic ring buffer: 64 entries,
 	// 128 retained bytes each.
 	ringSize    = 64
@@ -131,16 +123,6 @@ const (
 	// defaultMinCheckReports is how many completed runs the density check
 	// needs before it renders a verdict.
 	defaultMinCheckReports = 200
-	// defaultSketchBudget bounds sketch updates per tick: when more
-	// accepted reports than this arrive in one tick interval, the engine
-	// doubles its sketch stride (up to maxSketchStride) and feeds the
-	// quantile/heavy-hitter/density sketches a uniform 1-in-stride
-	// subsample, keeping ingest overhead flat under load. Totals and rate
-	// trackers stay exact. The stride halves again on quiet ticks.
-	defaultSketchBudget = 8192
-	// maxSketchStride caps adaptive sketch degradation: even a flooded
-	// collector still sketches at least 1 in 256 accepted reports.
-	maxSketchStride = 256
 )
 
 // trackerNames indexes the window counters: the two ingest endpoints,
@@ -219,7 +201,6 @@ type Engine struct {
 	halfLife        time.Duration
 	minEvents       uint64
 	minCheckReports uint64
-	sketchBudget    uint64
 
 	// Events, when set before traffic arrives, receives `anomaly` and
 	// `recovered` events (the collector wires its Monitor here so they
@@ -231,27 +212,21 @@ type Engine struct {
 	windows [numTrackers]atomic.Uint64
 	totals  [numTrackers]atomic.Uint64
 
-	// Exact aggregates for the snapshot's count/mean columns: these stay
-	// precise even when the sketches below fall back to stride sampling.
+	// Exact aggregates for the snapshot's count/mean columns (and the
+	// federated Digest).
 	bytesCount atomic.Uint64
 	bytesSum   atomic.Uint64
 	nzSum      atomic.Uint64
 
-	// Adaptive sketch stride: accepted reports enter the mutex-guarded
-	// sketch block only every stride-th time. sketchUpdates counts block
-	// entries since the last tick; crossing sketchBudget doubles the
-	// stride (AIMD up), quiet ticks halve it (AIMD down).
-	stride        atomic.Uint64
-	seq           atomic.Uint64
-	sketchUpdates atomic.Uint64
+	// The collector's report-shape histograms, found by name at Bind;
+	// the snapshot reads their p50/p99 and never observes into them.
+	bytesHist *telemetry.Histogram
+	nzHist    *telemetry.Histogram
 
-	// Sketches share one mutex with a critical section of a few hundred
-	// nanoseconds; everything inside is O(1) per report.
-	mu       sync.Mutex
-	bytes    *QuantileSketch
-	nonzeros *QuantileSketch
-	sources  *SpaceSaving
-	dens     densityCheck
+	// mu guards dens; each completed run holds it for one O(1) observe.
+	// Readers copy dens under mu and compute the verdict outside it.
+	mu   sync.Mutex
+	dens densityCheck
 
 	ring *ring
 
@@ -271,8 +246,7 @@ type Engine struct {
 	active         map[anomalyKey]*activeAnomaly
 	anomaliesTotal uint64
 
-	reg *telemetry.Registry
-	m   engineMetrics
+	m engineMetrics
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -282,34 +256,29 @@ type Engine struct {
 // New creates an engine. Bind it (or let collect.Server do it) before
 // traffic arrives.
 func New(cfg Config) *Engine {
-	e := &Engine{
+	return &Engine{
 		cfg:             cfg,
 		start:           time.Now(),
 		halfLife:        defaultHalfLife,
 		minEvents:       defaultMinEvents,
 		minCheckReports: defaultMinCheckReports,
-		sketchBudget:    defaultSketchBudget,
-		bytes:           NewQuantileSketch(),
-		nonzeros:        NewQuantileSketch(),
-		sources:         NewSpaceSaving(sketchCap),
 		ring:            newRing(ringSize, sampleBytes),
 		active:          make(map[anomalyKey]*activeAnomaly),
 		stopCh:          make(chan struct{}),
 	}
-	e.stride.Store(1)
-	return e
 }
 
 // Bind attaches the telemetry registry (nil = telemetry.Default). Later
 // calls are ignored. Safe on a nil engine.
 func (e *Engine) Bind(reg *telemetry.Registry) {
-	if e == nil || e.reg != nil {
+	if e == nil || e.bytesHist != nil {
 		return
 	}
 	if reg == nil {
 		reg = telemetry.Default
 	}
-	e.reg = reg
+	e.bytesHist = reg.Histogram("collect_report_bytes", telemetry.SizeBuckets)
+	e.nzHist = reg.Histogram("collect_report_nonzeros", telemetry.NonzeroBuckets)
 	e.m = engineMetrics{
 		ticks:        reg.Counter("quality_ticks_total"),
 		active:       reg.Gauge("quality_active_anomalies"),
@@ -375,13 +344,10 @@ func (e *Engine) ObserveEndpoint(batch bool) {
 // ObserveAccepted folds one accepted report: wireBytes is the report's
 // encoded size (0 for in-process submissions with no wire form),
 // nonzeros its nonzero-counter count, sampleTotal the sum of its
-// counters, crashed whether the run crashed. Everything inside is O(1),
-// and under load the sketch block amortizes to O(1/stride): counters and
-// exact sums are always a handful of atomic adds, while the mutex-guarded
-// sketches see a uniform 1-in-stride subsample once the sketch budget is
-// exceeded within a tick. Heavy-hitter offers carry the stride as a
-// weight so their counts stay calibrated to the full stream.
-func (e *Engine) ObserveAccepted(runID uint64, shape, wireBytes, nonzeros int, sampleTotal uint64, crashed bool) {
+// counters, crashed whether the run crashed. The run ID and counter
+// shape (the first two parameters) are not used. A few atomic adds,
+// plus one O(1) density observation under mu for a completed run.
+func (e *Engine) ObserveAccepted(_ uint64, _, wireBytes, nonzeros int, sampleTotal uint64, crashed bool) {
 	if e == nil {
 		return
 	}
@@ -392,27 +358,11 @@ func (e *Engine) ObserveAccepted(runID uint64, shape, wireBytes, nonzeros int, s
 		e.bytesSum.Add(uint64(wireBytes))
 	}
 	e.nzSum.Add(uint64(nonzeros))
-
-	k := e.stride.Load()
-	if k > 1 && e.seq.Add(1)%k != 0 {
-		return
-	}
-	if n := e.sketchUpdates.Add(1); n > e.sketchBudget && k < maxSketchStride {
-		if e.stride.CompareAndSwap(k, k*2) {
-			e.sketchUpdates.Store(0)
-		}
-	}
-	e.mu.Lock()
-	if wireBytes > 0 {
-		e.bytes.Observe(float64(wireBytes))
-	}
-	e.nonzeros.Observe(float64(nonzeros))
-	e.sources.OfferN(Source{Kind: SourceRun, Value: runID}, k)
-	e.sources.OfferN(Source{Kind: SourceShape, Value: uint64(shape)}, k)
 	if !crashed {
+		e.mu.Lock()
 		e.dens.observe(sampleTotal)
+		e.mu.Unlock()
 	}
-	e.mu.Unlock()
 }
 
 // ObserveRejected counts one rejected payload and retains a forensic
@@ -425,9 +375,6 @@ func (e *Engine) ObserveRejected(reason Reason, payload []byte) {
 	i := trkReject0 + int(reason)
 	e.windows[i].Add(1)
 	e.totals[i].Add(1)
-	e.mu.Lock()
-	e.sources.Offer(Source{Kind: SourceReject, Value: uint64(reason)})
-	e.mu.Unlock()
 	if len(payload) > 0 {
 		e.ring.record(reason, 0, len(payload), payload)
 		e.m.recordBad()
@@ -445,9 +392,6 @@ func (e *Engine) ObserveQuarantined(runID uint64, wireLen int) {
 	i := trkReject0 + int(ReasonQuarantine)
 	e.windows[i].Add(1)
 	e.totals[i].Add(1)
-	e.mu.Lock()
-	e.sources.Offer(Source{Kind: SourceReject, Value: uint64(ReasonQuarantine)})
-	e.mu.Unlock()
 	e.ring.record(ReasonQuarantine, runID, wireLen, nil)
 	e.m.recordBad()
 }
@@ -485,15 +429,6 @@ func (e *Engine) Tick() {
 	// EWMA weight for this window from the half-life: after halfLife of
 	// quiet the baseline has decayed by half, regardless of tick cadence.
 	decay := math.Exp2(-dt / e.halfLife.Seconds())
-
-	// Sketch-stride AIMD down: a tick that used well under its sketch
-	// budget halves the stride. Zero updates means no traffic at all —
-	// no evidence about rate, so the stride holds until traffic resumes.
-	if upd := e.sketchUpdates.Swap(0); upd > 0 {
-		if k := e.stride.Load(); k > 1 && upd*4 < e.sketchBudget {
-			e.stride.CompareAndSwap(k, k/2)
-		}
-	}
 
 	type finding struct {
 		kind, target    string
@@ -555,9 +490,7 @@ func (e *Engine) Tick() {
 	}
 
 	// Density-drift rule: the statistical-distance verdict (density.go).
-	e.mu.Lock()
-	sv := e.dens.verdict(e.cfg.Density, tvThreshold, e.minCheckReports)
-	e.mu.Unlock()
+	sv := e.samplingVerdict()
 	if sv.Verdict == "drift" {
 		found = append(found, finding{"density-drift", "sampling", sv.TVDistance, sv.Threshold})
 	}
@@ -640,29 +573,48 @@ type Snapshot struct {
 	// Rates holds the EWMA trackers, keyed by tracker name
 	// ("endpoint:/report", "accept", "reject:decode", ...).
 	Rates          map[string]RateStat `json:"rates"`
-	ReportBytes    QuantileSummary     `json:"report_bytes"`
-	ReportNonzeros QuantileSummary     `json:"report_nonzeros"`
-	TopSources     []HeavyHitter       `json:"top_sources"`
-	// SourcesTracked / SourceEvents state the Space-Saving bound: any
-	// source with more than SourceEvents/SketchCap occurrences is listed.
-	SourcesTracked int    `json:"sources_tracked"`
-	SourceEvents   uint64 `json:"source_events"`
-	SketchCap      int    `json:"sketch_cap"`
-	// SketchStride is the current adaptive subsampling stride: 1 means
-	// every accepted report reaches the sketches; higher values mean the
-	// engine is shedding sketch work under load (counts stay exact).
-	SketchStride   uint64          `json:"sketch_stride"`
-	Sampling       SamplingVerdict `json:"sampling"`
-	Anomalies      []Anomaly       `json:"anomalies"`
-	AnomaliesTotal uint64          `json:"anomalies_total"`
-	BadReports     uint64          `json:"bad_reports_recorded"`
-	Ticks          uint64          `json:"ticks"`
+	ReportBytes    Distribution        `json:"report_bytes"`
+	ReportNonzeros Distribution        `json:"report_nonzeros"`
+	Sampling       SamplingVerdict     `json:"sampling"`
+	Anomalies      []Anomaly           `json:"anomalies"`
+	AnomaliesTotal uint64              `json:"anomalies_total"`
+	BadReports     uint64              `json:"bad_reports_recorded"`
+	Ticks          uint64              `json:"ticks"`
 }
 
-// TakeSnapshot assembles the current quality view. The sketch mutex is
-// held once for all sketch reads, so the bytes/nonzeros/top-K/sampling
-// sections describe one instant — snapshots cannot tear against
-// concurrent folds.
+// Distribution is one report-shape column of the snapshot. Count and
+// Mean are exact (and federated: they include absorbed edge digests);
+// P50 and P99 are the upper bounds of the collector's histogram buckets
+// holding those ranks, so each is within one bucket of the true
+// quantile of this collector's own traffic (DESIGN §12).
+type Distribution struct {
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P99   float64 `json:"p99"`
+}
+
+func distribution(count, sum uint64, h *telemetry.Histogram) Distribution {
+	d := Distribution{Count: count}
+	if count > 0 {
+		d.Mean = float64(sum) / float64(count)
+	}
+	if h != nil {
+		d.P50, d.P99 = h.Quantile(0.5), h.Quantile(0.99)
+	}
+	return d
+}
+
+// samplingVerdict copies the density state under mu (32 KB) and runs
+// the O(densityHistCap) verdict outside it, so ingest never waits on it.
+func (e *Engine) samplingVerdict() SamplingVerdict {
+	e.mu.Lock()
+	d := e.dens
+	e.mu.Unlock()
+	return d.verdict(e.cfg.Density, tvThreshold, e.minCheckReports)
+}
+
+// TakeSnapshot assembles the current quality view.
 func (e *Engine) TakeSnapshot() Snapshot {
 	snap := Snapshot{
 		UptimeSeconds: time.Since(e.start).Seconds(),
@@ -688,42 +640,14 @@ func (e *Engine) TakeSnapshot() Snapshot {
 	}
 	e.tickMu.Unlock()
 
-	e.mu.Lock()
-	snap.ReportBytes = e.bytes.Summary()
-	snap.ReportNonzeros = e.nonzeros.Summary()
-	// Count and mean come from the exact atomic aggregates: the sketches
-	// may be stride-sampling under load, but these columns never drift.
-	snap.ReportBytes.Count = e.bytesCount.Load()
-	if c := snap.ReportBytes.Count; c > 0 {
-		snap.ReportBytes.Mean = float64(e.bytesSum.Load()) / float64(c)
-	}
-	snap.ReportNonzeros.Count = snap.Accepted
-	if snap.Accepted > 0 {
-		snap.ReportNonzeros.Mean = float64(e.nzSum.Load()) / float64(snap.Accepted)
-	}
-	snap.SketchStride = e.stride.Load()
-	snap.TopSources = e.sources.Top(topSources)
-	snap.SourcesTracked = e.sources.Len()
-	snap.SourceEvents = e.sources.N()
-	snap.SketchCap = sketchCap
-	snap.Sampling = e.dens.verdict(e.cfg.Density, tvThreshold, e.minCheckReports)
-	e.mu.Unlock()
+	snap.ReportBytes = distribution(e.bytesCount.Load(), e.bytesSum.Load(), e.bytesHist)
+	snap.ReportNonzeros = distribution(snap.Accepted, e.nzSum.Load(), e.nzHist)
+	snap.Sampling = e.samplingVerdict()
 
 	e.stateMu.Lock()
-	for _, a := range e.active {
-		snap.Anomalies = append(snap.Anomalies, a.Anomaly)
-	}
+	snap.Anomalies = e.activeLocked()
 	snap.AnomaliesTotal = e.anomaliesTotal
 	e.stateMu.Unlock()
-	sort.Slice(snap.Anomalies, func(i, j int) bool {
-		if snap.Anomalies[i].SinceUnixMs != snap.Anomalies[j].SinceUnixMs {
-			return snap.Anomalies[i].SinceUnixMs < snap.Anomalies[j].SinceUnixMs
-		}
-		if snap.Anomalies[i].Kind != snap.Anomalies[j].Kind {
-			return snap.Anomalies[i].Kind < snap.Anomalies[j].Kind
-		}
-		return snap.Anomalies[i].Target < snap.Anomalies[j].Target
-	})
 
 	_, snap.BadReports = e.ring.snapshot()
 	if e.m.ticks != nil {
@@ -732,13 +656,33 @@ func (e *Engine) TakeSnapshot() Snapshot {
 	return snap
 }
 
-// ActiveAnomalies returns the current active set (sorted like the
-// snapshot's). Safe on a nil engine.
+// ActiveAnomalies returns the current active set, oldest first (ties by
+// kind, then target). Safe on a nil engine.
 func (e *Engine) ActiveAnomalies() []Anomaly {
 	if e == nil {
 		return nil
 	}
-	return e.TakeSnapshot().Anomalies
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
+	return e.activeLocked()
+}
+
+// activeLocked lists the active set, sorted; stateMu must be held.
+func (e *Engine) activeLocked() []Anomaly {
+	var out []Anomaly
+	for _, a := range e.active {
+		out = append(out, a.Anomaly)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].SinceUnixMs != out[j].SinceUnixMs {
+			return out[i].SinceUnixMs < out[j].SinceUnixMs
+		}
+		if out[i].Kind != out[j].Kind {
+			return out[i].Kind < out[j].Kind
+		}
+		return out[i].Target < out[j].Target
+	})
+	return out
 }
 
 // BadReports returns the forensic ring contents, newest first, and the

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"cbi/internal/telemetry"
@@ -214,11 +215,7 @@ func TestSnapshotTotals(t *testing.T) {
 		t.Error("quarantine listed under rejected: those reports were folded")
 	}
 	if snap.ReportBytes.Count != 7 || snap.ReportNonzeros.Count != 7 {
-		t.Errorf("sketch counts: bytes %d nonzeros %d", snap.ReportBytes.Count, snap.ReportNonzeros.Count)
-	}
-	// 7 runs + 1 shape + decode + quarantine reject fingerprints.
-	if len(snap.TopSources) == 0 || snap.TopSources[0].Key != "shape:12" {
-		t.Errorf("top sources: %+v", snap.TopSources)
+		t.Errorf("shape counts: bytes %d nonzeros %d", snap.ReportBytes.Count, snap.ReportNonzeros.Count)
 	}
 	bad, total := e.BadReports()
 	if total != 2 || len(bad) != 2 { // decode payload + quarantine
@@ -229,54 +226,99 @@ func TestSnapshotTotals(t *testing.T) {
 	}
 }
 
-// TestSketchStrideAdapts drives the engine past its sketch budget and
-// checks the stride climbs, exact aggregates stay exact, heavy-hitter
-// counts stay calibrated, and a quiet tick walks the stride back down.
-func TestSketchStrideAdapts(t *testing.T) {
-	e := New(Config{})
-	e.sketchBudget = 100
-	e.minCheckReports = 1 << 30
-	e.Bind(telemetry.NewRegistry())
-	const n = 2000
+// TestSamplingCountsEveryReport floods one tick with accepted reports:
+// every completed run must reach the density check, and crashed runs
+// none, however many arrive between ticks.
+func TestSamplingCountsEveryReport(t *testing.T) {
+	e := newTestEngine(nil)
+	const n = 20_000
+	crashed := 0
 	for i := 0; i < n; i++ {
-		e.ObserveAccepted(uint64(i), 12, 50, 3, 3, false)
+		c := i%7 == 0
+		if c {
+			crashed++
+		}
+		e.ObserveAccepted(uint64(i), 12, 50, 3, uint64(i%5), c)
 	}
 	snap := e.TakeSnapshot()
-	if snap.SketchStride <= 1 {
-		t.Fatalf("stride = %d after %d reports with budget 100", snap.SketchStride, n)
+	if want := uint64(n - crashed); snap.Sampling.Reports != want {
+		t.Errorf("sampling saw %d reports, want %d non-crashed", snap.Sampling.Reports, want)
 	}
 	if snap.Accepted != n || snap.ReportBytes.Count != n || snap.ReportBytes.Mean != 50 {
-		t.Errorf("exact aggregates drifted: accepted %d bytes count %d mean %v",
+		t.Errorf("exact aggregates: accepted %d bytes count %d mean %v",
 			snap.Accepted, snap.ReportBytes.Count, snap.ReportBytes.Mean)
 	}
-	// The shape key saw a weighted offer per sampled report; its
-	// calibrated count must be within the Space-Saving error of n.
-	var shape *HeavyHitter
-	for i := range snap.TopSources {
-		if snap.TopSources[i].Key == "shape:12" {
-			shape = &snap.TopSources[i]
+}
+
+// TestSnapshotQuantilesReadCollectorHistograms checks the p50/p99
+// columns come from the registry's collect_report_* histograms, not
+// from the engine's own observations.
+func TestSnapshotQuantilesReadCollectorHistograms(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	bytesH := reg.Histogram("collect_report_bytes", telemetry.SizeBuckets)
+	nzH := reg.Histogram("collect_report_nonzeros", telemetry.NonzeroBuckets)
+	e := New(Config{})
+	e.Bind(reg)
+	for i := 0; i < 100; i++ {
+		b := 100.0 // le=256
+		if i == 99 {
+			b = 5000 // le=16384: the p99 rank
 		}
+		bytesH.Observe(b)
+		nzH.Observe(20) // le=32
+		e.ObserveAccepted(uint64(i), 12, int(b), 20, 3, false)
 	}
-	if shape == nil {
-		t.Fatalf("shape key missing from top sources: %+v", snap.TopSources)
+	snap := e.TakeSnapshot()
+	if snap.ReportBytes.P50 != 256 || snap.ReportBytes.P99 != 256 {
+		t.Errorf("bytes p50/p99 = %v/%v, want 256/256", snap.ReportBytes.P50, snap.ReportBytes.P99)
 	}
-	if shape.Count < n/2 || shape.Count > 2*n {
-		t.Errorf("weighted shape count %d, want near %d", shape.Count, n)
+	if snap.ReportNonzeros.P50 != 32 || snap.ReportNonzeros.P99 != 32 {
+		t.Errorf("nonzeros p50/p99 = %v/%v, want 32/32", snap.ReportNonzeros.P50, snap.ReportNonzeros.P99)
 	}
-	// Quiet ticks (little traffic) halve the stride back toward 1; a
-	// zero-traffic tick must hold it instead.
-	hold := e.TakeSnapshot().SketchStride
-	e.Tick()
-	e.Tick()
-	if got := e.TakeSnapshot().SketchStride; got != hold {
-		t.Errorf("stride moved on zero-traffic ticks: %d -> %d", hold, got)
+	bytesH.Observe(5000)
+	if got := e.TakeSnapshot().ReportBytes.P99; got != 16384 {
+		t.Errorf("bytes p99 after a second large report = %v, want 16384", got)
 	}
-	for i := 0; i < 20; i++ {
-		e.ObserveAccepted(uint64(i), 12, 50, 3, 3, false)
-		e.Tick()
+	// The engine never observes into the histograms itself.
+	if bytesH.Count() != 101 || nzH.Count() != 100 {
+		t.Errorf("histogram counts %d/%d: the engine observed a report twice", bytesH.Count(), nzH.Count())
 	}
-	if got := e.TakeSnapshot().SketchStride; got != 1 {
-		t.Errorf("stride = %d after quiet ticks, want 1", got)
+}
+
+// TestQualityReaderBesideObservers runs /quality readers and Tick beside
+// concurrent ObserveAccepted callers; under -race it proves the verdict,
+// computed outside mu, reads only its own copy of the density state.
+func TestQualityReaderBesideObservers(t *testing.T) {
+	e := New(Config{})
+	e.minCheckReports = 50
+	e.Bind(telemetry.NewRegistry())
+	const observers, each = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < observers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				e.ObserveAccepted(uint64(w*each+i), 12, 100, 3, uint64(i%9), i%10 == 0)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			rec := httptest.NewRecorder()
+			e.ServeQuality(rec, httptest.NewRequest("GET", "/quality", nil))
+			if rec.Code != 200 {
+				t.Errorf("GET /quality: %d", rec.Code)
+			}
+			e.Tick()
+		}
+	}()
+	wg.Wait()
+	<-done
+	if got, want := e.TakeSnapshot().Sampling.Reports, uint64(observers*each*9/10); got != want {
+		t.Errorf("sampling saw %d reports, want %d", got, want)
 	}
 }
 
@@ -341,9 +383,8 @@ func TestServeQualityGoldenShape(t *testing.T) {
 	want := []string{
 		"accepted_total", "anomalies", "anomalies_total", "bad_reports_recorded",
 		"quarantined_total", "rates", "rejected", "rejected_total",
-		"report_bytes", "report_nonzeros", "sampling", "sketch_cap",
-		"sketch_stride", "source_events", "sources_tracked", "ticks",
-		"top_sources", "uptime_seconds",
+		"report_bytes", "report_nonzeros", "sampling", "ticks",
+		"uptime_seconds",
 	}
 	if got := jsonKeys(t, rec.Body.Bytes()); !reflect.DeepEqual(got, want) {
 		t.Errorf("/quality keys:\n got %v\nwant %v", got, want)

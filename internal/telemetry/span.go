@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -108,20 +107,4 @@ func roundDur(d time.Duration) string {
 	default:
 		return d.Round(100 * time.Nanosecond).String()
 	}
-}
-
-// TopSpans returns the k span names with the largest total time,
-// descending (ties by name for determinism).
-func (r *Registry) TopSpans(k int) []SpanStat {
-	spans := r.SpanSummary()
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Total != spans[j].Total {
-			return spans[i].Total > spans[j].Total
-		}
-		return spans[i].Name < spans[j].Name
-	})
-	if k > 0 && len(spans) > k {
-		spans = spans[:k]
-	}
-	return spans
 }

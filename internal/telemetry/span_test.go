@@ -38,10 +38,6 @@ func TestSpanRecordsHistogramAndSummary(t *testing.T) {
 	if !strings.Contains(text, "analyze.train") || !strings.Contains(text, "stage timings") {
 		t.Errorf("summary text:\n%s", text)
 	}
-	top := r.TopSpans(1)
-	if len(top) != 1 {
-		t.Fatalf("TopSpans(1) = %v", top)
-	}
 }
 
 // seedSpan plants a deterministic aggregate, bypassing the wall clock.
@@ -50,38 +46,6 @@ func seedSpan(r *Registry, name string, count uint64, total, min, max time.Durat
 	defer r.mu.Unlock()
 	r.spans[name] = &SpanStat{Name: name, Count: count, Total: total, Min: min, Max: max}
 	r.spanSeq = append(r.spanSeq, name)
-}
-
-func TestTopSpansOrdering(t *testing.T) {
-	r := NewRegistry()
-	seedSpan(r, "fold", 10, 300*time.Millisecond, time.Millisecond, 90*time.Millisecond)
-	seedSpan(r, "decode", 10, 500*time.Millisecond, time.Millisecond, 80*time.Millisecond)
-	seedSpan(r, "rank", 1, 100*time.Millisecond, 100*time.Millisecond, 100*time.Millisecond)
-	// Ties on Total break by name, ascending.
-	seedSpan(r, "zeta", 2, 300*time.Millisecond, time.Millisecond, time.Millisecond)
-
-	got := r.TopSpans(0)
-	wantOrder := []string{"decode", "fold", "zeta", "rank"}
-	if len(got) != len(wantOrder) {
-		t.Fatalf("TopSpans(0) returned %d spans, want %d", len(got), len(wantOrder))
-	}
-	for i, name := range wantOrder {
-		if got[i].Name != name {
-			t.Errorf("TopSpans[%d] = %s, want %s", i, got[i].Name, name)
-		}
-	}
-
-	top2 := r.TopSpans(2)
-	if len(top2) != 2 || top2[0].Name != "decode" || top2[1].Name != "fold" {
-		t.Errorf("TopSpans(2) = %+v", top2)
-	}
-	// k larger than the population returns everything.
-	if got := r.TopSpans(99); len(got) != 4 {
-		t.Errorf("TopSpans(99) returned %d spans", len(got))
-	}
-	if got := NewRegistry().TopSpans(3); len(got) != 0 {
-		t.Errorf("empty registry TopSpans = %+v", got)
-	}
 }
 
 func TestFormatSpanSummaryOrderingAndRounding(t *testing.T) {

@@ -38,6 +38,11 @@ var StepBuckets = []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 // SizeBuckets are buckets for byte sizes (report payloads).
 var SizeBuckets = []float64{64, 256, 1024, 4096, 16384, 65536, 1 << 20}
 
+// NonzeroBuckets are buckets for nonzero counters per report — the
+// quantity the sparse decode→fold→analysis path scales with (dense
+// vectors cost O(counters) regardless of what the run touched).
+var NonzeroBuckets = []float64{0, 8, 32, 128, 512, 2048, 8192, 32768, 131072}
+
 // FineBuckets are sub-millisecond latency buckets, in seconds, for hot
 // handlers that answer in microseconds (the collector's staged ingest
 // path enqueues and returns without folding) — DefBuckets' first bound
@@ -135,6 +140,29 @@ func (h *Histogram) CumulativeCounts() []uint64 {
 	}
 	out[len(h.upper)] = acc + h.inf.Load()
 	return out
+}
+
+// Quantile returns the upper bound of the bucket holding rank
+// ceil(q·count), so the true q-quantile lies within that one bucket.
+// A rank in the +Inf overflow returns the largest finite bound, a floor
+// (the convention of Prometheus's histogram_quantile); an empty
+// histogram returns 0.
+func (h *Histogram) Quantile(q float64) float64 {
+	cum := h.CumulativeCounts()
+	total := cum[len(h.upper)]
+	if total == 0 {
+		return 0
+	}
+	rank := min(max(uint64(math.Ceil(q*float64(total))), 1), total)
+	for i, c := range cum[:len(h.upper)] {
+		if c >= rank {
+			return h.upper[i]
+		}
+	}
+	if len(h.upper) == 0 {
+		return math.Inf(1)
+	}
+	return h.upper[len(h.upper)-1]
 }
 
 // ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"regexp"
 	"strings"
 	"sync"
@@ -47,6 +48,42 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	if h.Sum() != 18 {
 		t.Errorf("sum = %g, want 18", h.Sum())
+	}
+}
+
+// TestHistogramQuantile pins the one-bucket contract: Quantile returns
+// the upper bound of the bucket holding rank ceil(q·count).
+func TestHistogramQuantile(t *testing.T) {
+	bounds := []float64{1, 2, 5}
+	cases := []struct {
+		name string
+		obs  []float64
+		q    float64
+		want float64
+	}{
+		{"empty", nil, 0.5, 0},
+		{"single bucket", []float64{1.5, 1.5, 1.9}, 0.99, 2},
+		{"single bucket p0", []float64{1.5}, 0, 2},
+		{"exact boundary", []float64{1, 2, 5}, 0.5, 2},
+		{"exact boundary rank", []float64{1, 1, 5, 5}, 0.5, 1},
+		{"rank past boundary", []float64{1, 1, 5, 5}, 0.51, 5},
+		{"+Inf overflow floors at last bound", []float64{0.5, 9, 9, 9}, 0.5, 5},
+		{"all overflow", []float64{7, 8}, 0.99, 5},
+		{"q above one", []float64{0.5}, 2, 1},
+	}
+	for _, c := range cases {
+		h := NewRegistry().Histogram("q", bounds)
+		for _, v := range c.obs {
+			h.Observe(v)
+		}
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("%s: Quantile(%g) = %g, want %g", c.name, c.q, got, c.want)
+		}
+	}
+	noBounds := NewRegistry().Histogram("inf", nil)
+	noBounds.Observe(3)
+	if got := noBounds.Quantile(0.5); !math.IsInf(got, 1) {
+		t.Errorf("bucketless histogram: Quantile = %g, want +Inf", got)
 	}
 }
 
